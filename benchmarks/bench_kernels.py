@@ -1,8 +1,9 @@
 """Times the hot kernels on both backends: numba-jitted vs pure Python.
 
-Workload sizes mirror the canonical synthetic run: the density-expansion
-graph matches the 50x-replicated satellite matrix, and the blend chain
-matches a few epochs of sequential memory updates.
+The density-expansion graph is a stress size: 3200 rows (800 with
+--quick) in dense blobs of 40, about six times the drone view of the
+canonical synthetic run (512 rows), which is the largest graph the trainer
+expands. The blend chain matches a few epochs of sequential memory updates.
 
 Usage: python benchmarks/bench_kernels.py [--quick]
 """

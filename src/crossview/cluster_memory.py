@@ -95,6 +95,27 @@ def bank_contrastive(q, bank, positive_id: int, temperature: float) -> tuple[flo
     return loss, grad
 
 
+def bank_contrastive_rows(queries, bank, positive_ids, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """``bank_contrastive`` for every row of a query matrix at once.
+
+    Returns the per-row losses and the per-row gradients.
+    """
+    if not temperature > 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    bank = np.asarray(bank, dtype=np.float64)
+    positive_ids = np.asarray(positive_ids, dtype=np.int64)
+    if positive_ids.size and (positive_ids.min() < 0 or positive_ids.max() >= bank.shape[0]):
+        raise ValueError("positive id out of range")
+    rows = np.arange(positive_ids.size)
+    logits = queries @ bank.T / temperature
+    shift = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shift).sum(axis=1))
+    losses = lse - shift[rows, positive_ids]
+    p = np.exp(shift - lse[:, None])
+    p[rows, positive_ids] -= 1.0
+    return losses, p @ bank / temperature
+
+
 def contrastive_loss(q, mem: ClusterMemory, positive_id: int, temperature: float) -> tuple[float, np.ndarray]:
     return bank_contrastive(q, mem.centroids, positive_id, temperature)
 
@@ -132,13 +153,8 @@ def batch_loss_cv(
     for queries, ids, mem in ((drone_queries, drone_ids, mem_d), (sat_queries, sat_ids, mem_s)):
         if queries.shape[0] == 0:
             raise ValueError("empty query batch")
-        total = 0.0
-        g = np.zeros_like(queries)
-        for i in range(queries.shape[0]):
-            loss, gq = bank_contrastive(queries[i], mem.centroids, int(ids[i]), temperature)
-            total += loss
-            g[i] = gq
-        parts.append(total / queries.shape[0])
+        losses, g = bank_contrastive_rows(queries, mem.centroids, ids, temperature)
+        parts.append(float(losses.sum()) / queries.shape[0])
         grads.append(g / queries.shape[0])
     return BatchLoss(
         value=parts[0] + parts[1],

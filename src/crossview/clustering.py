@@ -82,7 +82,10 @@ def replicate_features(features, factor: int) -> tuple[np.ndarray, np.ndarray]:
     """Repeat each row ``factor`` times contiguously.
 
     Returns the replicated matrix and an index map from replicated row to
-    original row.
+    original row. The trainer does not cluster replicated rows: it runs
+    ``dbscan`` on the originals with ``min_pts`` divided by ``factor``,
+    rounded up. This and ``collapse_replica_labels`` are the reference that
+    shortcut is tested against.
     """
     if factor < 1:
         raise ValueError(f"replication factor must be >= 1, got {factor}")
@@ -96,7 +99,10 @@ def collapse_replica_labels(labels: PseudoLabels, index_map, n_originals: int) -
     """Map labels computed on replicated rows back to the originals.
 
     Replicas of one original are identical rows, so they always land in the
-    same cluster; the first replica's label is taken.
+    same cluster; the first replica's label is taken. Cluster ids are
+    renumbered densely in order; when every replica is noise the result is
+    all noise with no clusters. Reference for the trainer's shortcut (see
+    ``replicate_features``).
     """
     index_map = np.asarray(index_map, dtype=np.int64)
     first = np.full(n_originals, -2, dtype=np.int64)
@@ -106,9 +112,8 @@ def collapse_replica_labels(labels: PseudoLabels, index_map, n_originals: int) -
         raise ValueError("index map does not cover every original row")
     collapsed = labels.labels[first]
     present = np.unique(collapsed[collapsed >= 0])
-    remap = np.full(labels.num_clusters, NOISE, dtype=np.int64)
-    remap[present] = np.arange(present.size)
-    out = np.where(collapsed >= 0, remap[np.maximum(collapsed, 0)], NOISE)
+    # a label's rank among the sorted present ids is its new id
+    out = np.where(collapsed >= 0, np.searchsorted(present, collapsed), NOISE)
     return PseudoLabels(labels=out, num_clusters=int(present.size))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .cluster_memory import bank_contrastive
+from .cluster_memory import bank_contrastive, bank_contrastive_rows
 from .errors import ConfigError
 from .numcore import as_matrix, l2_normalize_rows, sigmoid
 
@@ -134,8 +134,14 @@ def refresh_fused(dm: DualMemory) -> DualMemory:
     return dm
 
 
-def fused_bank_loss(q, dm: DualMemory, positive_id: int, temperature: float) -> tuple[float, np.ndarray]:
-    """Contrastive loss of a query against the fused bank."""
+def fused_bank_loss(q, dm: DualMemory, positive_id, temperature: float):
+    """Contrastive loss of a query against the fused bank.
+
+    Given a matrix of queries and one positive id per row, returns the
+    per-row losses and the per-row gradients.
+    """
+    if np.ndim(q) == 2:
+        return bank_contrastive_rows(q, dm.fused, positive_id, temperature)
     return bank_contrastive(q, dm.fused, positive_id, temperature)
 
 

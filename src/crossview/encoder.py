@@ -6,6 +6,7 @@ cosine similarities. backward() differentiates through that normalization
 (projection Jacobian), which is what the finite-difference suite checks.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -97,7 +98,7 @@ def forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
     hidden = np.tanh(X @ params.w1.T + params.b1)
     pre_norm = hidden @ params.w2.T + params.b2
     norms = np.sqrt(np.einsum("ij,ij->i", pre_norm, pre_norm))
-    if np.any(norms < COLLAPSE_NORM):
+    if (norms < COLLAPSE_NORM).any():
         bad = int(np.flatnonzero(norms < COLLAPSE_NORM)[0])
         raise DegenerateInputError(f"embedding row {bad} collapsed (norm < {COLLAPSE_NORM})")
     embeddings = pre_norm / norms[:, None]
@@ -164,7 +165,7 @@ def unflatten_params(flat, like: EncoderParams) -> EncoderParams:
     out = []
     pos = 0
     for shape in shapes:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         out.append(flat[pos : pos + size].reshape(shape).copy())
         pos += size
     if pos != flat.size:

@@ -1,11 +1,12 @@
 """Hot inner-loop kernels with interchangeable numba/numpy backends.
 
-The two loops that dominate runtime outside of BLAS are the density
-cluster expansion (queue-based flood fill over an epsilon graph) and the
-sequential per-query memory blends. Both are written once in plain
-numpy-compatible Python; at import time they are optionally compiled with
-numba. Selection is controlled by the ``CROSSVIEW_BACKEND`` environment
-variable:
+The two inner loops kept out of BLAS are the density cluster expansion
+(queue-based flood fill over an epsilon graph) and the sequential
+per-query memory blends. In training, expansion runs once per view and
+epoch over that view's own rows, and the blends once per minibatch. Both
+are written once in plain numpy-compatible Python; at import time they are
+optionally compiled with numba. Selection is controlled by the
+``CROSSVIEW_BACKEND`` environment variable:
 
 * ``auto`` (default): use numba when importable, else fall back silently.
 * ``numpy``: always use the pure-Python/numpy fallback.

@@ -16,6 +16,7 @@ every candidate pool before selection; otherwise it would dominate them
 with similarity 1.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -64,7 +65,7 @@ def build_instance_memory(embeddings, view: str) -> InstanceMemory:
 def _query_sims(q, mem: InstanceMemory) -> tuple[np.ndarray, np.ndarray, float]:
     """Cosine similarities of q to every memory row, plus q-hat and |q|."""
     q = np.asarray(q, dtype=np.float64).ravel()
-    qn = float(np.sqrt(q @ q))
+    qn = math.sqrt(q @ q)
     if qn == 0.0:
         raise ValueError("zero-norm query")
     q_hat = q / qn
@@ -92,8 +93,14 @@ def threshold_neighborhood(q, mem: InstanceMemory, ratio: float, exclude: int | 
         raise ValueError("empty instance memory")
     sims, _, _ = _query_sims(q, mem)
     sims = _masked(sims, exclude)
-    cutoff = ratio * sims.max()
-    return np.flatnonzero(sims > cutoff).astype(np.int64)
+    return (sims > ratio * sims.max()).nonzero()[0]
+
+
+def _check_ks(k_strict, k_expanded, pool) -> None:
+    if not 1 <= k_strict <= k_expanded <= pool:
+        raise ValueError(
+            f"need 1 <= k_strict <= k_expanded <= {pool}, got {k_strict}, {k_expanded}"
+        )
 
 
 def topk_neighborhoods(
@@ -101,20 +108,29 @@ def topk_neighborhoods(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact strict/expanded top-k index lists, ties broken by lower index."""
     pool = mem.size - (1 if exclude is not None else 0)
-    if not 1 <= k_strict <= k_expanded <= pool:
-        raise ValueError(
-            f"need 1 <= k_strict <= k_expanded <= {pool}, got {k_strict}, {k_expanded}"
-        )
+    _check_ks(k_strict, k_expanded, pool)
     sims, _, _ = _query_sims(q, mem)
     wide = top_k_indices(_masked(sims, exclude), k_expanded)
     return wide[:k_strict].copy(), wide
 
 
-def _cosine_chain(grad_s, picked, sims, mem, q_hat, qn) -> np.ndarray:
+# The per-query losses below see a handful of picked similarities, where
+# Python float arithmetic costs less than numpy's per-call overhead; only
+# the gradient's chain through the memory rows goes back to numpy.
+
+
+def _log_softmax(z: list) -> tuple[list, list]:
+    top = max(z)
+    shift = [v - top for v in z]
+    lse = math.log(sum(math.exp(v) for v in shift))
+    logp = [v - lse for v in shift]
+    return logp, [math.exp(v) for v in logp]
+
+
+def _cosine_chain(grad_s: list, picked, sims: list, mem, q_hat, qn) -> np.ndarray:
     # d cos(q, f_u) / dq = (f_u - cos * q_hat) / |q|
-    f = mem.features[picked]
-    s = sims[picked]
-    return (f.T @ grad_s - float(grad_s @ s) * q_hat) / qn
+    along = sum(g * s for g, s in zip(grad_s, sims))
+    return (np.dot(grad_s, mem.features.take(picked, axis=0)) - along * q_hat) / qn
 
 
 def alignment_loss(q, mem: InstanceMemory, omega, temperature: float) -> tuple[float, np.ndarray]:
@@ -126,13 +142,11 @@ def alignment_loss(q, mem: InstanceMemory, omega, temperature: float) -> tuple[f
     if omega.size == 0:
         return 0.0, np.zeros_like(q)
     sims, q_hat, qn = _query_sims(q, mem)
-    z = sims[omega] / temperature
-    shift = z - z.max()
-    lse = np.log(np.sum(np.exp(shift)))
-    loss = float(omega.size * lse - shift.sum())
-    p = np.exp(shift - lse)
-    grad_s = (omega.size * p - 1.0) / temperature
-    return loss, _cosine_chain(grad_s, omega, sims, mem, q_hat, qn)
+    picked = sims.take(omega).tolist()
+    logp, p = _log_softmax([s / temperature for s in picked])
+    n = len(picked)
+    grad_s = [(n * pi - 1.0) / temperature for pi in p]
+    return -sum(logp), _cosine_chain(grad_s, omega, picked, mem, q_hat, qn)
 
 
 def uniform_divergence(p) -> float:
@@ -144,21 +158,23 @@ def uniform_divergence(p) -> float:
     return float(np.sum(p[nz] * np.log(p.size * p[nz])))
 
 
+def _divergence(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]:
+    """KL to uniform of the raw-similarity softmax over picked, and its gradient."""
+    sims, q_hat, qn = _query_sims(q, mem)
+    chosen = sims.take(picked).tolist()
+    logp, p = _log_softmax(chosen)
+    entropy_term = sum(pi * li for pi, li in zip(p, logp))
+    grad_s = [pi * (li - entropy_term) for pi, li in zip(p, logp)]
+    loss = entropy_term + math.log(len(chosen))
+    return loss, _cosine_chain(grad_s, picked, chosen, mem, q_hat, qn)
+
+
 def consistency_loss(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]:
     """KL to uniform of the raw-similarity softmax over the expanded set."""
     picked = np.asarray(picked, dtype=np.int64)
     if picked.size == 0:
         raise ValueError("expanded neighborhood is empty")
-    sims, q_hat, qn = _query_sims(q, mem)
-    z = sims[picked]
-    shift = z - z.max()
-    lse = np.log(np.sum(np.exp(shift)))
-    p = np.exp(shift - lse)
-    logp = shift - lse
-    entropy_term = float(p @ logp)
-    loss = entropy_term + np.log(picked.size)
-    grad_s = p * (logp - entropy_term)
-    return float(loss), _cosine_chain(grad_s, picked, sims, mem, q_hat, qn)
+    return _divergence(q, mem, picked)
 
 
 def mutual_info_loss(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]:
@@ -166,16 +182,8 @@ def mutual_info_loss(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]
     picked = np.asarray(picked, dtype=np.int64)
     if picked.size == 0:
         raise ValueError("strict neighborhood is empty")
-    sims, q_hat, qn = _query_sims(q, mem)
-    z = sims[picked]
-    shift = z - z.max()
-    lse = np.log(np.sum(np.exp(shift)))
-    p = np.exp(shift - lse)
-    logp = shift - lse
-    entropy_term = float(p @ logp)
-    loss = -(entropy_term + np.log(picked.size))
-    grad_s = -p * (logp - entropy_term)
-    return float(loss), _cosine_chain(grad_s, picked, sims, mem, q_hat, qn)
+    loss, grad = _divergence(q, mem, picked)
+    return -loss, -grad
 
 
 @dataclass
@@ -198,32 +206,71 @@ class NeighborWeights:
             raise ValueError("temperature must be positive")
 
 
-def _clamped_ks(weights: NeighborWeights, pool: int) -> tuple[int, int]:
-    k2 = weights.k_expanded
-    if k2 > pool:
+def _masked_log_softmax(z: np.ndarray, mask: np.ndarray):
+    """Row-wise log-probabilities and probabilities of the softmax restricted
+    to ``mask``; both are zero off the mask, so an empty row is all zero."""
+    top = np.max(z, axis=1, where=mask, initial=-np.inf, keepdims=True)
+    shift = np.where(mask, z - top, -np.inf)
+    # a non-empty row sums to at least exp(0) = 1; an empty one to 0
+    logp = shift - np.log(np.maximum(np.exp(shift).sum(axis=1, keepdims=True), 1.0))
+    return np.where(mask, logp, 0.0), np.exp(logp)
+
+
+def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own, extra):
+    """Alignment + mutual-information + consistency losses of one direction,
+    for every query of a batch at once.
+
+    own[i] >= 0 excludes memory row own[i] from query i's candidate pools;
+    extra[i], when given, lists memory rows force-included into query i's
+    threshold set. Returns per-query loss values and query gradients; the
+    selections and formulas are those of the per-query functions above.
+    """
+    n = mem.size
+    norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+    if np.any(norms == 0.0):
+        raise ValueError("zero-norm query")
+    q_hat = queries / norms[:, None]
+    sims = q_hat @ mem.features.T
+    rows = np.flatnonzero(own >= 0)
+    pooled = sims.copy()
+    pooled[rows, own[rows]] = -np.inf
+
+    omega = pooled > weights.threshold_ratio * pooled.max(axis=1, keepdims=True)
+    if extra is not None:
+        for i, forced in enumerate(extra):
+            if forced is not None and len(forced) > 0:
+                omega[i, np.asarray(forced, dtype=np.int64)] = True
+        omega[rows, own[rows]] = False
+
+    k_expanded = weights.k_expanded
+    pool = n - (own >= 0)
+    if k_expanded > pool.min():
         warnings.warn(
-            f"expanded neighborhood clamped from {k2} to {pool} available rows",
-            stacklevel=3,
+            f"expanded neighborhood clamped from {k_expanded} to {int(pool.min())} available rows",
+            stacklevel=2,
         )
-        k2 = pool
-    k1 = min(weights.k_strict, k2)
-    return k1, k2
+    k2 = np.minimum(k_expanded, pool)
+    k1 = np.minimum(weights.k_strict, k2)
+    _check_ks(int(k1.min()), int(k2.min()), int(pool.min()))
+    # rank[i, u]: position of row u in query i's best-first order, ties by lower index
+    rank = np.argsort(-pooled, axis=1, kind="stable").argsort(axis=1)
+    strict = rank < k1[:, None]
+    expanded = rank < k2[:, None]
 
-
-def _direction_loss(q, mem, weights, exclude, extra_omega) -> tuple[float, np.ndarray]:
-    omega = threshold_neighborhood(q, mem, weights.threshold_ratio, exclude=exclude)
-    if extra_omega is not None and len(extra_omega) > 0:
-        omega = np.union1d(omega, np.asarray(extra_omega, dtype=np.int64))
-        if exclude is not None:
-            omega = omega[omega != exclude]
-    k1, k2 = _clamped_ks(weights, mem.size - (1 if exclude is not None else 0))
-    strict, expanded = topk_neighborhoods(q, mem, k1, k2, exclude=exclude)
-    value, grad = alignment_loss(q, mem, omega, weights.temperature)
-    mi, g_mi = mutual_info_loss(q, mem, strict)
-    cons, g_cons = consistency_loss(q, mem, expanded)
-    value += weights.mutual_weight * mi + weights.consistency_weight * cons
-    grad = grad + weights.mutual_weight * g_mi + weights.consistency_weight * g_cons
-    return value, grad
+    # alignment: sum over omega of -log p, i.e. |omega| * lse - sum of shifts
+    t = weights.temperature
+    logp, p = _masked_log_softmax(sims / t, omega)
+    value = -logp.sum(axis=1)
+    grad_s = np.where(omega, (omega.sum(axis=1)[:, None] * p - 1.0) / t, 0.0)
+    for mask, weight in ((strict, -weights.mutual_weight), (expanded, weights.consistency_weight)):
+        logp, p = _masked_log_softmax(sims, mask)
+        entropy = (p * logp).sum(axis=1)
+        value = value + weight * (entropy + np.log(mask.sum(axis=1)))
+        grad_s = grad_s + weight * p * (logp - entropy[:, None])
+    # d cos(q, f_u) / dq = (f_u - cos * q_hat) / |q|, summed over every picked u
+    along = np.einsum("ij,ij->i", grad_s, sims)
+    grads = (grad_s @ mem.features - along[:, None] * q_hat) / norms[:, None]
+    return value, grads
 
 
 @dataclass
@@ -259,25 +306,18 @@ def neighborhood_total(
     sat_queries = as_matrix(sat_queries, "satellite queries")
     drone_indices = np.asarray(drone_indices, dtype=np.int64)
     sat_indices = np.asarray(sat_indices, dtype=np.int64)
-    total = 0.0
     gd = np.zeros_like(drone_queries)
     gs = np.zeros_like(sat_queries)
-    nd = drone_queries.shape[0]
-    ns = sat_queries.shape[0]
-    for i in range(nd):
-        q = drone_queries[i]
-        own = int(drone_indices[i])
-        v_intra, g_intra = _direction_loss(q, mem_d, weights, own if own >= 0 else None, None)
-        extra = None if extra_cross_d is None else extra_cross_d[i]
-        v_cross, g_cross = _direction_loss(q, mem_s, weights, None, extra)
-        total += (v_intra + v_cross) / nd
-        gd[i] = (g_intra + g_cross) / nd
-    for j in range(ns):
-        q = sat_queries[j]
-        own = int(sat_indices[j])
-        v_intra, g_intra = _direction_loss(q, mem_s, weights, own if own >= 0 else None, None)
-        extra = None if extra_cross_s is None else extra_cross_s[j]
-        v_cross, g_cross = _direction_loss(q, mem_d, weights, None, extra)
-        total += (v_intra + v_cross) / ns
-        gs[j] = (g_intra + g_cross) / ns
+    total = 0.0
+    for queries, own, grads, intra, cross, extra in (
+        (drone_queries, drone_indices, gd, mem_d, mem_s, extra_cross_d),
+        (sat_queries, sat_indices, gs, mem_s, mem_d, extra_cross_s),
+    ):
+        b = queries.shape[0]
+        if b == 0:
+            continue
+        v_intra, g_intra = _direction_batch(queries, intra, weights, own, None)
+        v_cross, g_cross = _direction_batch(queries, cross, weights, np.full(b, -1), extra)
+        total += float((v_intra + v_cross).sum()) / b
+        grads[:] = (g_intra + g_cross) / b
     return NeighborhoodLoss(value=float(total), drone_grads=gd, sat_grads=gs)

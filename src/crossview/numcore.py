@@ -33,7 +33,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def ensure_finite(a, what: str = "array") -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericError(f"{what} contains non-finite values")
 
 

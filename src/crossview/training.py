@@ -23,7 +23,9 @@ from .cluster_memory import (
     init_memory,
     momentum_update_batch,
 )
-from .clustering import (
+# replicate_features and collapse_replica_labels are unused here but stay
+# importable from this module: perfbench/tracer.py wraps them by name.
+from .clustering import (  # noqa: F401
     DbscanParams,
     PseudoLabels,
     collapse_replica_labels,
@@ -264,10 +266,9 @@ def total_loss(batch: Batch, memories: EpochMemories, config: TrainConfig) -> To
             (batch.sat_emb, batch.sat_cluster_ids, memories.dual_s, gs),
         ):
             n = emb.shape[0]
-            for i in range(n):
-                fv, fg = fused_bank_loss(emb[i], dm, int(ids[i]), config.temperature)
-                fused_term += fv / n
-                grads[i] += config.coeff_dual * config.fused_loss_weight * fg / n
+            fv, fg = fused_bank_loss(emb, dm, ids, config.temperature)
+            fused_term += float(fv.sum()) / n
+            grads += config.coeff_dual * config.fused_loss_weight * fg / n
         dual_value = base.value + config.fused_loss_weight * fused_term
         value += config.coeff_dual * dual_value
     neighbor_value = 0.0
@@ -345,9 +346,8 @@ class Trainer:
         cfg = self.config
         db = DbscanParams(eps=cfg.dbscan_eps, min_pts=cfg.dbscan_min_pts)
         labels_d = dbscan(emb_d, db)
-        replicated, index_map = replicate_features(emb_s, cfg.replication)
-        labels_rep = dbscan(replicated, db)
-        labels_s = collapse_replica_labels(labels_rep, index_map, emb_s.shape[0])
+        # exact for r replicas a row: c originals in eps are r*c replicas, core iff c >= ceil(min_pts/r)
+        labels_s = dbscan(emb_s, replace(db, min_pts=-(-db.min_pts // cfg.replication)))
         return labels_d, labels_s
 
     def _build_memories(self, emb_d, emb_s, labels_d, labels_s) -> EpochMemories:

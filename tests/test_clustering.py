@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import unit_rows
 from crossview.clustering import (
@@ -164,6 +166,54 @@ class TestCollapseReplicaLabels:
         for orig in range(8):
             replica_labels = labels.labels[idx == orig]
             assert len(set(replica_labels.tolist())) == 1
+
+    def test_all_noise_gives_no_clusters(self):
+        rep, idx = replicate_features(np.eye(3), 2)
+        labels = dbscan(rep, DbscanParams(eps=0.1, min_pts=4))
+        assert labels.num_clusters == 0
+        collapsed = collapse_replica_labels(labels, idx, 3)
+        assert collapsed.num_clusters == 0
+        np.testing.assert_array_equal(collapsed.labels, [NOISE, NOISE, NOISE])
+
+
+direction = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(
+    lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 > 0.01
+)
+
+
+class TestReplicationAsMinPtsDivisor:
+    """Clustering rows replicated r times equals clustering the originals
+    with min_pts divided by r, rounded up: the trainer's shortcut."""
+
+    @given(
+        st.lists(direction, min_size=1, max_size=24),
+        st.floats(min_value=0.01, max_value=0.6),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=12),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_labels_identical(self, rows, eps, factor, min_pts):
+        feats = np.array(rows)
+        rep, idx = replicate_features(feats, factor)
+        want = collapse_replica_labels(
+            dbscan(rep, DbscanParams(eps=eps, min_pts=min_pts)), idx, feats.shape[0]
+        )
+        got = dbscan(feats, DbscanParams(eps=eps, min_pts=-(-min_pts // factor)))
+        assert got.num_clusters == want.num_clusters
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_border_and_noise_carry_over(self):
+        # angles on the unit circle: core runs at 0.29-0.32 and 0.00-0.03, a
+        # border point at 0.16 that reaches one core point of each, and noise;
+        # min_pts 8 over 2 replicas means a row needs 4 originals within eps
+        angles = np.array([0.29, 0.30, 0.31, 0.32, 0.03, 0.02, 0.01, 0.0, 0.16, 2.0])
+        feats = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        eps = 1.0 - np.cos(0.135)
+        rep, idx = replicate_features(feats, 2)
+        want = collapse_replica_labels(dbscan(rep, DbscanParams(eps=eps, min_pts=8)), idx, 10)
+        got = dbscan(feats, DbscanParams(eps=eps, min_pts=4))
+        assert want.labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 0, NOISE]
+        np.testing.assert_array_equal(got.labels, want.labels)
 
 
 class TestCentroids:

@@ -4,9 +4,16 @@ import warnings
 import numpy as np
 import pytest
 
-from crossview.clustering import PseudoLabels
+from crossview import encoder
+from crossview.clustering import (
+    DbscanParams,
+    PseudoLabels,
+    collapse_replica_labels,
+    dbscan,
+    replicate_features,
+)
 from crossview.datagen import SyntheticSpec, generate
-from crossview.errors import ConfigError
+from crossview.errors import ClusteringError, ConfigError
 from crossview.numcore import Rng
 from crossview.training import (
     ABLATIONS,
@@ -190,6 +197,43 @@ class TestEpoch:
         _, records = quiet_train(tiny_config(epochs=2, refine_start_epoch=1), corpus)
         assert records[0].refine_agreement is None
         assert records[1].refine_agreement is not None
+
+
+class TestSatelliteClustering:
+    def test_labels_match_replicated_reference(self):
+        corpus = tiny_corpus()
+        cfg = tiny_config(dbscan_min_pts=12)  # 12 over 8 replicas: 2 originals needed
+        trainer = Trainer(cfg, corpus)
+        emb_d, _ = encoder.forward(trainer.params, trainer.view.drone_raw)
+        emb_s, _ = encoder.forward(trainer.params, trainer.view.sat_raw)
+        _, labels_s = trainer._pseudo_labels(emb_d, emb_s)
+        rep, idx = replicate_features(emb_s, cfg.replication)
+        db = DbscanParams(eps=cfg.dbscan_eps, min_pts=cfg.dbscan_min_pts)
+        want = collapse_replica_labels(dbscan(rep, db), idx, emb_s.shape[0])
+        assert labels_s.num_clusters == want.num_clusters
+        np.testing.assert_array_equal(labels_s.labels, want.labels)
+
+    def test_dbscan_never_sees_replicated_rows(self, monkeypatch):
+        corpus = tiny_corpus()  # 50 drone, 10 satellite rows; 8 replicas would be 80
+        seen = []
+
+        def recording_dbscan(features, params):
+            seen.append(np.shape(features)[0])
+            return dbscan(features, params)
+
+        monkeypatch.setattr("crossview.training.dbscan", recording_dbscan)
+        quiet_train(tiny_config(epochs=1), corpus)
+        assert seen
+        assert max(seen) <= max(corpus.drone_raw.shape[0], corpus.sat_raw.shape[0])
+
+    def test_all_noise_satellites_raise_clustering_error(self):
+        # no satellite lies within eps of another, and one replica cannot reach min_pts
+        corpus = generate(
+            SyntheticSpec(num_locations=8, latent_dim=4, input_dim=8, drone_per_loc=4, seed=1)
+        )
+        trainer = Trainer(TrainConfig(replication=1, dbscan_min_pts=4), corpus)
+        with pytest.raises(ClusteringError, match="0 satellite clusters"):
+            trainer.run_epoch()
 
 
 class TestMetricsFile:
