@@ -68,11 +68,13 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"unknown config key {key!r}")
     if key in _BOOL_FIELDS:
         return _parse_bool(raw)
-    if key in _INT_FIELDS:
-        return int(raw)
     if key == "update_rule":
         return raw.strip()
-    return float(raw)
+    kind = int if key in _INT_FIELDS else float
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind.__name__}") from None
 
 
 def read_config_file(path) -> dict:
@@ -137,7 +139,7 @@ def _add_synthetic_flags(parser: argparse.ArgumentParser, prefix: str = "") -> N
 
 
 def _spec_from_args(args) -> SyntheticSpec:
-    return SyntheticSpec(
+    spec = SyntheticSpec(
         num_locations=args.locations,
         latent_dim=args.latent_dim,
         input_dim=args.input_dim,
@@ -147,6 +149,11 @@ def _spec_from_args(args) -> SyntheticSpec:
         seed=args.corpus_seed,
         shared_view_maps=args.shared_view_maps,
     )
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise ConfigError(f"synthetic corpus: {exc}") from None
+    return spec
 
 
 def _corpus_descriptor(args) -> dict:

@@ -43,7 +43,7 @@ from .dual_memory import (
     update_long_term_batch,
     update_short_term,
 )
-from .errors import ClusteringError, ConfigError, NumericError
+from .errors import ClusteringError, ConfigError, DataError, NumericError
 from .label_refine import PerturbConfig, RefinedLabels, refine_labels, refinement_agreement
 from .metrics import average_precision, recall_at_k
 from .neighborhood import (
@@ -199,7 +199,6 @@ class EpochMemories:
     inst_d: InstanceMemory | None = None
     inst_s: InstanceMemory | None = None
     refined: RefinedLabels | None = None
-    sat_rows_by_refined: dict = field(default_factory=dict)
     drone_rows_by_label: dict = field(default_factory=dict)
 
 
@@ -378,9 +377,6 @@ class Trainer:
             refined, _ = refine_labels(emb_s, emb_d, labels_d, refine_cfg)
             memories.refined = refined
             for label in range(labels_d.num_clusters):
-                rows = np.flatnonzero(refined.hard == label)
-                if rows.size:
-                    memories.sat_rows_by_refined[label] = rows
                 members = labels_d.members(label)
                 if members.size:
                     memories.drone_rows_by_label[label] = members
@@ -391,6 +387,12 @@ class Trainer:
 
     def run_epoch(self) -> EpochRecord:
         cfg = self.config
+        n, m = self.view.drone_raw.shape[0], self.view.sat_raw.shape[0]
+        if cfg.enable_neighbor and min(n, m) < 2:
+            # a one-row view leaves its intra-view neighbourhood pool empty
+            raise DataError(
+                f"neighborhood losses need at least 2 rows per view, got {n} drone / {m} satellite"
+            )
         started = time.perf_counter()
         emb_d, _ = encoder.forward(self.params, self.view.drone_raw)
         emb_s, _ = encoder.forward(self.params, self.view.sat_raw)
@@ -408,7 +410,6 @@ class Trainer:
                 f"epoch {self.epoch}: sampler clamped to {p_d} drone / {p_s} satellite clusters",
                 stacklevel=2,
             )
-        n, m = self.view.drone_raw.shape[0], self.view.sat_raw.shape[0]
         iters = cfg.iters_per_epoch or max(1, math.ceil(max(n, m) / cfg.batch_size))
         lr = self._epoch_lr()
         sums = np.zeros(4)

@@ -122,13 +122,25 @@ class TestTrain:
         run_cli(tiny_train_args(out))
         assert run_cli(["eval", "--checkpoint", str(out / "checkpoint.dmpw")]) == 2
 
-    def test_bad_config_key_exit_2(self, tmp_path):
+    def test_bad_config_key_exit_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("warp_factor = 9\n")
-        assert run_cli(tiny_train_args(tmp_path / "r", extra=["--config", str(cfg_file)])) == 2
+        for line, key in (("warp_factor = 9", "warp_factor"), ("epochs = abc", "epochs")):
+            cfg_file.write_text(line + "\n")
+            assert run_cli(tiny_train_args(tmp_path / "r", extra=["--config", str(cfg_file)])) == 2
+            assert repr(key) in capsys.readouterr().err
 
     def test_invalid_value_exit_2(self, tmp_path):
-        assert run_cli(tiny_train_args(tmp_path / "r", extra=["--temperature", "0"])) == 2
+        for argv in (
+            tiny_train_args(tmp_path / "r", extra=["--temperature", "0"]),
+            ["generate", "--out", str(tmp_path / "g"), "--locations", "0"],
+            ["generate", "--out", str(tmp_path / "g"), "--input-dim", "4", "--latent-dim", "8"],
+        ):
+            assert run_cli(argv) == 2
+
+    def test_one_row_view_with_neighbor_losses_exit_3(self, tmp_path):
+        # one location gives a single satellite row: no intra-view neighbour exists
+        argv = ["train", "--out", str(tmp_path / "r"), "--locations", "1", "--epochs", "1"]
+        assert run_cli(argv) == 3
 
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
