@@ -78,8 +78,12 @@ def _coerce(key: str, raw: str):
 
 
 def read_config_file(path) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -177,6 +181,13 @@ def _resolve_corpus(descriptor: dict) -> Corpus:
     raise DataError(f"unknown corpus kind {descriptor['kind']!r}")
 
 
+def _read_manifest(path: Path) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read run manifest: {exc.strerror}") from None
+
+
 def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -254,7 +265,7 @@ def cmd_eval(args) -> int:
     if args.corpus_dir:
         corpus = load_corpus(Path(args.corpus_dir) / DRONE_FILE, Path(args.corpus_dir) / SAT_FILE)
     else:
-        manifest = json.loads(Path(args.run).joinpath("manifest.json").read_text())
+        manifest = _read_manifest(Path(args.run) / "manifest.json")
         corpus = _resolve_corpus(manifest["corpus"])
     if corpus.drone_raw.shape[1] != params.input_dim:
         raise DataError(
@@ -277,7 +288,7 @@ def cmd_diag(args) -> int:
     for required in (manifest_path, metrics_path, checkpoint_path):
         if not required.exists():
             raise DataError(f"missing run artifact: {required}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_manifest(manifest_path)
     records = [json.loads(line) for line in metrics_path.read_text().splitlines() if line]
     epochs = [r for r in records if "summary" not in r]
     trace_path = run / "cluster_trace.tsv"

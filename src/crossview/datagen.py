@@ -131,8 +131,11 @@ def save_features(path, view: str, features, labels=None) -> None:
 def load_feature_file(path) -> tuple[str, np.ndarray, np.ndarray | None]:
     """Parse one view file; rejects bad magic, truncation, and non-finite
     payloads with distinct errors."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     if blob[:4] != FEATURE_MAGIC:
         raise BadMagicError(f"{path}: not a feature file")
     header = struct.calcsize("<IBII")

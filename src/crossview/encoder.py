@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagicError, DegenerateInputError, NumericError, TruncatedFileError
+from .errors import (
+    BadMagicError,
+    DataError,
+    DegenerateInputError,
+    NumericError,
+    TruncatedFileError,
+)
 from .numcore import Rng, as_matrix, ensure_finite
 
 COLLAPSE_NORM = 1e-12
@@ -191,8 +197,11 @@ def save_params(params: EncoderParams, path) -> None:
 
 
 def load_params(path) -> EncoderParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     if blob[:4] != CHECKPOINT_MAGIC:
         raise BadMagicError(f"{path}: not a checkpoint file")
     if len(blob) < 12:

@@ -14,6 +14,15 @@ memories:
 For intra-view directions the query's own memory row is excluded from
 every candidate pool before selection; otherwise it would dominate them
 with similarity 1.
+
+Training calls ``neighborhood_total``, which scores a whole minibatch per
+direction: one batch x memory similarity product, then the three sets as
+flat (query, row) pairs and the softmaxes on those few pairs only. Top-k
+ties go to the lower index: a query's expanded set is every row above its
+k-th largest similarity (found by partition) plus, up to k, the rows equal
+to it in index order. The per-query functions compute the same sets and
+losses one query at a time and are the reference the batch path is tested
+against.
 """
 
 import math
@@ -114,9 +123,10 @@ def topk_neighborhoods(
     return wide[:k_strict].copy(), wide
 
 
-# The per-query losses below see a handful of picked similarities, where
-# Python float arithmetic costs less than numpy's per-call overhead; only
-# the gradient's chain through the memory rows goes back to numpy.
+# The per-query losses below are the reference the batch path in
+# _direction_batch is tested against. They see a handful of picked
+# similarities, where Python float arithmetic costs less than numpy's
+# per-call overhead; only the gradient's chain goes back to numpy.
 
 
 def _log_softmax(z: list) -> tuple[list, list]:
@@ -206,14 +216,19 @@ class NeighborWeights:
             raise ValueError("temperature must be positive")
 
 
-def _masked_log_softmax(z: np.ndarray, mask: np.ndarray):
-    """Row-wise log-probabilities and probabilities of the softmax restricted
-    to ``mask``; both are zero off the mask, so an empty row is all zero."""
-    top = np.max(z, axis=1, where=mask, initial=-np.inf, keepdims=True)
-    shift = np.where(mask, z - top, -np.inf)
+def _pair_log_softmax(rows, z, b):
+    """Log-probabilities and probabilities of each row's softmax over its
+    pairs, plus the pair count per row; rows must come sorted, and a row
+    with no pairs contributes nothing."""
+    counts = np.bincount(rows, minlength=b)
+    live = counts > 0
+    top = np.zeros(b)
+    top[live] = np.maximum.reduceat(z, (np.cumsum(counts) - counts)[live])
+    shift = z - top[rows]
     # a non-empty row sums to at least exp(0) = 1; an empty one to 0
-    logp = shift - np.log(np.maximum(np.exp(shift).sum(axis=1, keepdims=True), 1.0))
-    return np.where(mask, logp, 0.0), np.exp(logp)
+    lse = np.log(np.maximum(np.bincount(rows, np.exp(shift), minlength=b), 1.0))
+    logp = shift - lse[rows]
+    return logp, np.exp(logp), counts
 
 
 def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own, extra):
@@ -224,23 +239,33 @@ def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own
     extra[i], when given, lists memory rows force-included into query i's
     threshold set. Returns per-query loss values and query gradients; the
     selections and formulas are those of the per-query functions above.
+
+    After the one batch x memory similarity product, only the selected
+    (query, row) pairs are scored. A query's expanded set is every row above
+    its k-th largest similarity, taken from one partition, plus the rows
+    equal to that value in index order up to k, so a tie at the cut goes to
+    the lower index. Its strict set is the first k_strict of those by
+    similarity descending, then index ascending. The softmax terms run on
+    flat pairs with per-query sums; their gradient is scattered into one
+    batch x memory matrix for the chain through the memory rows.
     """
-    n = mem.size
+    b, n = queries.shape[0], mem.size
     norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
     if np.any(norms == 0.0):
         raise ValueError("zero-norm query")
     q_hat = queries / norms[:, None]
     sims = q_hat @ mem.features.T
-    rows = np.flatnonzero(own >= 0)
-    pooled = sims.copy()
-    pooled[rows, own[rows]] = -np.inf
+    selves = np.flatnonzero(own >= 0)
+    # no set below ever picks an excluded entry, so sims carries the exclusion
+    sims[selves, own[selves]] = -np.inf
 
-    omega = pooled > weights.threshold_ratio * pooled.max(axis=1, keepdims=True)
+    omega = sims > weights.threshold_ratio * sims.max(axis=1, keepdims=True)
     if extra is not None:
-        for i, forced in enumerate(extra):
-            if forced is not None and len(forced) > 0:
-                omega[i, np.asarray(forced, dtype=np.int64)] = True
-        omega[rows, own[rows]] = False
+        sizes = [0 if forced is None else len(forced) for forced in extra]
+        if sum(sizes):
+            forced = np.concatenate([f for f, size in zip(extra, sizes) if size])
+            omega[np.repeat(np.arange(b), sizes), forced] = True
+        omega[selves, own[selves]] = False
 
     k_expanded = weights.k_expanded
     pool = n - (own >= 0)
@@ -252,24 +277,48 @@ def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own
     k2 = np.minimum(k_expanded, pool)
     k1 = np.minimum(weights.k_strict, k2)
     _check_ks(int(k1.min()), int(k2.min()), int(pool.min()))
-    # rank[i, u]: position of row u in query i's best-first order, ties by lower index
-    rank = np.argsort(-pooled, axis=1, kind="stable").argsort(axis=1)
-    strict = rank < k1[:, None]
-    expanded = rank < k2[:, None]
+    # each row's k2-th largest similarity; k2 differs per row when the clamp bites
+    cut = np.partition(sims, np.unique(n - k2), axis=1)[np.arange(b), n - k2][:, None]
+    expanded = sims >= cut
+    wide = np.flatnonzero(expanded)
+    if wide.size > k2.sum():
+        # more rows tie at the cut than fit: keep the lowest-indexed ones
+        tied = sims == cut
+        room = k2 - np.count_nonzero(sims > cut, axis=1)
+        expanded &= ~tied | (np.cumsum(tied, axis=1) <= room[:, None])
+        wide = np.flatnonzero(expanded)
 
-    # alignment: sum over omega of -log p, i.e. |omega| * lse - sum of shifts
+    # each set as flat indices into the b x n matrix, grouped by row
+    flat = sims.reshape(-1)
+    wide_rows = wide // n
+    # each row's block best first, ties in index order; its first k1 are the strict set
+    order = np.lexsort((-flat[wide], wide_rows))
+    rank = np.arange(wide.size) - (np.cumsum(k2) - k2)[wide_rows]
+    strict = wide[order[rank < k1[wide_rows]]]
+    thresh = np.flatnonzero(omega)
+
+    # alignment: sum over omega of -log p of the tempered softmax
     t = weights.temperature
-    logp, p = _masked_log_softmax(sims / t, omega)
-    value = -logp.sum(axis=1)
-    grad_s = np.where(omega, (omega.sum(axis=1)[:, None] * p - 1.0) / t, 0.0)
-    for mask, weight in ((strict, -weights.mutual_weight), (expanded, weights.consistency_weight)):
-        logp, p = _masked_log_softmax(sims, mask)
-        entropy = (p * logp).sum(axis=1)
-        value = value + weight * (entropy + np.log(mask.sum(axis=1)))
-        grad_s = grad_s + weight * p * (logp - entropy[:, None])
+    rows, s = thresh // n, flat[thresh]
+    logp, p, size = _pair_log_softmax(rows, s / t, b)
+    # bincount over no pairs at all gives integers, so start from float zeros
+    value = np.zeros(b)
+    value -= np.bincount(rows, logp, minlength=b)
+    g = (size[rows] * p - 1.0) / t
+    grad_s = np.zeros(b * n)
+    grad_s[thresh] = g
+    along = np.zeros(b)
+    along += np.bincount(rows, g * s, minlength=b)
+    for pairs, weight in ((strict, -weights.mutual_weight), (wide, weights.consistency_weight)):
+        rows, s = pairs // n, flat[pairs]
+        logp, p, size = _pair_log_softmax(rows, s, b)
+        entropy = np.bincount(rows, p * logp, minlength=b)
+        value += weight * (entropy + np.log(size))
+        g = weight * p * (logp - entropy[rows])
+        grad_s[pairs] += g
+        along += np.bincount(rows, g * s, minlength=b)
     # d cos(q, f_u) / dq = (f_u - cos * q_hat) / |q|, summed over every picked u
-    along = np.einsum("ij,ij->i", grad_s, sims)
-    grads = (grad_s @ mem.features - along[:, None] * q_hat) / norms[:, None]
+    grads = (grad_s.reshape(b, n) @ mem.features - along[:, None] * q_hat) / norms[:, None]
     return value, grads
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from crossview.cli import main
 from crossview.datagen import load_corpus
-from crossview.encoder import load_params
+from crossview.encoder import init_params, load_params, save_params
+from crossview.numcore import Rng
 
 
 def run_cli(argv):
@@ -128,6 +129,9 @@ class TestTrain:
             cfg_file.write_text(line + "\n")
             assert run_cli(tiny_train_args(tmp_path / "r", extra=["--config", str(cfg_file)])) == 2
             assert repr(key) in capsys.readouterr().err
+        missing = tmp_path / "nowhere.cfg"
+        assert run_cli(tiny_train_args(tmp_path / "r", extra=["--config", str(missing)])) == 2
+        assert str(missing) in capsys.readouterr().err
 
     def test_invalid_value_exit_2(self, tmp_path):
         for argv in (
@@ -177,7 +181,10 @@ class TestEval:
     def test_corrupt_checkpoint_exit_3(self, tmp_path):
         bad = tmp_path / "bad.dmpw"
         bad.write_bytes(b"XXXX" + b"\x00" * 64)
-        assert run_cli(["eval", "--checkpoint", str(bad), "--corpus-dir", str(tmp_path)]) == 3
+        # corrupt bytes, a missing file, and a directory in place of the file
+        for checkpoint in (bad, tmp_path / "nowhere.dmpw", tmp_path):
+            argv = ["eval", "--checkpoint", str(checkpoint), "--corpus-dir", str(tmp_path)]
+            assert run_cli(argv) == 3
 
     def test_dim_mismatch_exit_3(self, tmp_path):
         out = tmp_path / "run"
@@ -226,7 +233,15 @@ class TestDiag:
         assert pos_total + neg_total == 32 * 8
 
     def test_missing_artifacts_exit_3(self, tmp_path):
-        assert run_cli(["diag", "--run", str(tmp_path / "nope")]) == 3
+        checkpoint = tmp_path / "checkpoint.dmpw"
+        save_params(init_params(Rng(0), 8, 12, 6), checkpoint)
+        nowhere = tmp_path / "nope"
+        for argv in (
+            ["diag", "--run", str(nowhere)],
+            ["eval", "--checkpoint", str(checkpoint), "--run", str(nowhere)],
+            tiny_train_args(tmp_path / "r", corpus_dir=nowhere),
+        ):
+            assert run_cli(argv) == 3
 
     def test_separable_corpus_orders_similarity_means(self, tmp_path):
         # after training on a noiseless shared-map corpus, the positive-pair

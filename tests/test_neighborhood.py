@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_difference, rel_error, unit_rows
 from crossview.neighborhood import (
@@ -24,6 +26,56 @@ def memory_with_rows(rows, view="drone"):
 
 def planted_memory(np_rng, n, d):
     return build_instance_memory(unit_rows(np_rng, n, d), "drone")
+
+
+def axis_memory(ids, d=4, view="drone"):
+    """Row j is +e_j for j < d and -e_(j-d) otherwise. A query's similarity
+    to such a row is exactly one signed component of its unit vector, so
+    equal components tie exactly however the dot products are summed."""
+    return build_instance_memory(np.vstack([np.eye(d), -np.eye(d)])[ids], view)
+
+
+def reference_total(
+    drone_queries, drone_indices, sat_queries, sat_indices, mem_d, mem_s, weights,
+    extra_cross_d=None, extra_cross_s=None,
+):
+    """neighborhood_total recomputed one query at a time from the per-query
+    sets and losses; returns the value and both views' gradients."""
+    w = weights
+    value = 0.0
+    grads = []
+    for queries, own, intra, cross, extra in (
+        (drone_queries, drone_indices, mem_d, mem_s, extra_cross_d),
+        (sat_queries, sat_indices, mem_s, mem_d, extra_cross_s),
+    ):
+        b = queries.shape[0]
+        g = np.zeros_like(queries)
+        for i, q in enumerate(queries):
+            exclude = int(own[i]) if own[i] >= 0 else None
+            forced = None if extra is None else extra[i]
+            for mem, skip, partners in ((intra, exclude, None), (cross, None, forced)):
+                k2 = min(w.k_expanded, mem.size - (skip is not None))
+                omega = threshold_neighborhood(q, mem, w.threshold_ratio, exclude=skip)
+                if partners is not None:
+                    omega = np.union1d(omega, np.asarray(partners, dtype=np.int64))
+                strict, wide = topk_neighborhoods(q, mem, min(w.k_strict, k2), k2, exclude=skip)
+                for (v, dv), weight in (
+                    (alignment_loss(q, mem, omega, w.temperature), 1.0),
+                    (mutual_info_loss(q, mem, strict), w.mutual_weight),
+                    (consistency_loss(q, mem, wide), w.consistency_weight),
+                ):
+                    value += weight * v / b
+                    g[i] += weight * dv / b
+        grads.append(g)
+    return value, grads[0], grads[1]
+
+
+def assert_matches_reference(case):
+    out = neighborhood_total(**case)
+    value, gd, gs = reference_total(**case)
+    assert out.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(out.drone_grads, gd, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.sat_grads, gs, rtol=1e-12, atol=1e-12)
 
 
 class TestInstanceMemory:
@@ -361,3 +413,111 @@ class TestCombination:
             consistency_loss(q, mem2, inv[wide])[0],
         )
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def reference_case(kind):
+    """Inputs to neighborhood_total, named as its keyword arguments."""
+    rng = np.random.default_rng(7)
+    w = NeighborWeights(
+        threshold_ratio=0.7, k_strict=2, k_expanded=4,
+        mutual_weight=0.7, consistency_weight=1.3, temperature=0.2,
+    )
+    case = dict(
+        drone_queries=rng.standard_normal((3, 4)), drone_indices=np.array([4, -1, 0]),
+        sat_queries=rng.standard_normal((2, 4)), sat_indices=np.array([-1, 5]),
+        mem_d=planted_memory(rng, 9, 4),
+        mem_s=build_instance_memory(unit_rows(rng, 7, 4), "satellite"),
+        weights=w,
+    )
+    if kind == "ties":
+        # each view's first query ranks row 0 of either memory first and rows
+        # 1-4 tied just below it; k_expanded = 3 keeps two of the tied rows
+        # and k_strict = 2 one. Row 1 lies along another axis than rows 2-4,
+        # the same in both memories, so taking the higher-indexed tied rows
+        # moves both directions' gradients the same way
+        case.update(
+            drone_queries=np.array([[2.0, 2.0, 3.0, 0.0], [3.0, 3.0, -1.0, 1.0]]),
+            drone_indices=np.array([-1, 5]),
+            sat_queries=np.array([[1.0, 1.0, 2.0, 0.0], [0.0, 2.0, 2.0, 1.0]]),
+            sat_indices=np.array([4, -1]),
+            mem_d=axis_memory([2, 0, 1, 1, 1, 3]),
+            mem_s=axis_memory([2, 0, 1, 1, 1, 3], view="satellite"),
+            weights=NeighborWeights(
+                threshold_ratio=0.8, k_strict=2, k_expanded=3,
+                mutual_weight=0.7, consistency_weight=1.3, temperature=0.2,
+            ),
+        )
+    elif kind == "forced":
+        om = threshold_neighborhood(case["sat_queries"][0], case["mem_d"], w.threshold_ratio)
+        outside = [u for u in range(case["mem_d"].size) if u not in om.tolist()][0]
+        # one partner already in the threshold set, one outside it, both repeated
+        case["extra_cross_s"] = [np.array([om[0], outside, om[0], outside]), None]
+        case["extra_cross_d"] = [[1, 1], None, []]
+    elif kind == "no threshold set":
+        # every similarity is at most 0, so no row clears ratio * max
+        case.update(
+            drone_queries=np.array([[-1.0, -2.0, -1.0, 0.0]]), drone_indices=np.array([0]),
+            sat_queries=np.array([[-2.0, -1.0, -1.0, -1.0]]), sat_indices=np.array([-1]),
+            mem_d=axis_memory([0, 1, 2, 3, 0]),
+            mem_s=axis_memory([1, 2, 0, 3], view="satellite"),
+        )
+    return case
+
+
+class TestBatchMatchesReference:
+    @pytest.mark.parametrize("kind", ["random", "ties", "forced", "no threshold set"])
+    def test_value_and_gradients(self, kind):
+        assert_matches_reference(reference_case(kind))
+
+    def test_clamped_k_differs_per_row_and_warns_once_per_direction(self):
+        # k_expanded = 6 exceeds the 5-row drone memory: drone rows that
+        # exclude themselves keep 4, the row with index -1 keeps 5, and the
+        # satellite-to-drone direction clamps to 5 too; the 7-row satellite
+        # memory has room in both of its directions
+        case = reference_case("random")
+        case["weights"] = NeighborWeights(
+            threshold_ratio=0.7, k_strict=3, k_expanded=6,
+            mutual_weight=0.7, consistency_weight=1.3, temperature=0.2,
+        )
+        case["mem_d"] = planted_memory(np.random.default_rng(8), 5, 4)
+        case["drone_indices"] = np.array([0, -1, 3])
+        case["sat_indices"] = np.array([2, -1])
+        with pytest.warns(UserWarning, match="clamped") as record:
+            assert_matches_reference(case)
+        # the reference computes its clamped k itself and warns nothing
+        assert len(record) == 2
+
+
+QUERY = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@pytest.mark.filterwarnings("ignore:expanded neighborhood clamped")
+def test_tie_heavy_batches_match_reference(data):
+    n = data.draw(st.integers(2, 8), label="drone rows")
+    m = data.draw(st.integers(2, 8), label="satellite rows")
+    # rows along the six signed axes of R^3, so rows repeat and similarities tie
+    mem_d = axis_memory(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), d=3)
+    mem_s = axis_memory(
+        data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)), d=3, view="satellite"
+    )
+    qd = np.array(data.draw(st.lists(QUERY, min_size=1, max_size=4)), dtype=np.float64)
+    qs = np.array(data.draw(st.lists(QUERY, min_size=1, max_size=4)), dtype=np.float64)
+    rd = np.array([data.draw(st.integers(-1, n - 1)) for _ in qd])
+    rs = np.array([data.draw(st.integers(-1, m - 1)) for _ in qs])
+    k_strict = data.draw(st.integers(1, 4), label="k_strict")
+    w = NeighborWeights(
+        threshold_ratio=data.draw(st.floats(0.05, 0.95)),
+        k_strict=k_strict,
+        k_expanded=data.draw(st.integers(k_strict, 9), label="k_expanded"),
+        mutual_weight=data.draw(st.floats(0.0, 2.0)),
+        consistency_weight=data.draw(st.floats(0.0, 2.0)),
+        temperature=data.draw(st.sampled_from([0.1, 0.5, 1.0])),
+    )
+    forced = st.none() | st.lists(st.integers(0, n - 1), max_size=4)
+    extra_s = data.draw(st.none() | st.lists(forced, min_size=len(qs), max_size=len(qs)))
+    assert_matches_reference(dict(
+        drone_queries=qd, drone_indices=rd, sat_queries=qs, sat_indices=rs,
+        mem_d=mem_d, mem_s=mem_s, weights=w, extra_cross_s=extra_s,
+    ))
