@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__, encoder
 from .datagen import Corpus, SyntheticSpec, generate, load_corpus, save_corpus
+from .dual_memory import UPDATE_RULES
 from .errors import ConfigError, CrossviewError, DataError, NumericError
 from .metrics import average_precision, recall_at_k
 from .numcore import pairwise_sim
@@ -30,28 +31,6 @@ SAT_FILE = "satellite.dmfv"
 HIST_BINS = 40
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
-_BOOL_FIELDS = {
-    "renormalize_memory",
-    "enable_dual",
-    "enable_neighbor",
-    "enable_refine",
-}
-_INT_FIELDS = {
-    "epochs",
-    "p_classes",
-    "z_instances",
-    "iters_per_epoch",
-    "replication",
-    "dbscan_min_pts",
-    "k_strict",
-    "k_expanded",
-    "rank_depth",
-    "smoothing_keep",
-    "refine_start_epoch",
-    "hidden_dim",
-    "embed_dim",
-    "seed",
-}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -66,11 +45,11 @@ def _parse_bool(raw: str) -> bool:
 def _coerce(key: str, raw: str):
     if key not in _CONFIG_FIELDS:
         raise ConfigError(f"unknown config key {key!r}")
-    if key in _BOOL_FIELDS:
+    kind = _CONFIG_FIELDS[key]
+    if kind is bool:
         return _parse_bool(raw)
-    if key == "update_rule":
+    if kind is str:
         return raw.strip()
-    kind = int if key in _INT_FIELDS else float
     try:
         return kind(raw)
     except ValueError:
@@ -118,16 +97,14 @@ def resolve_config(args) -> tuple[TrainConfig, dict]:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("training configuration")
-    for key in _CONFIG_FIELDS:
+    for key, kind in _CONFIG_FIELDS.items():
         flag = "--" + key.replace("_", "-")
-        if key in _BOOL_FIELDS:
+        if kind is bool:
             group.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
-        elif key in _INT_FIELDS:
-            group.add_argument(flag, type=int, default=None)
-        elif key == "update_rule":
-            group.add_argument(flag, choices=("damped", "normalized"), default=None)
+        elif kind is str:  # update_rule, the one string field
+            group.add_argument(flag, choices=UPDATE_RULES, default=None)
         else:
-            group.add_argument(flag, type=float, default=None)
+            group.add_argument(flag, type=kind, default=None)
 
 
 def _add_synthetic_flags(parser: argparse.ArgumentParser, prefix: str = "") -> None:
@@ -186,6 +163,8 @@ def _read_manifest(path: Path) -> dict:
         return json.loads(path.read_text())
     except OSError as exc:
         raise DataError(f"{path}: cannot read run manifest: {exc.strerror}") from None
+    except ValueError as exc:  # also covers json.JSONDecodeError and bad UTF-8
+        raise DataError(f"{path}: run manifest is not valid JSON: {exc}") from None
 
 
 def cmd_generate(args) -> int:
@@ -272,6 +251,7 @@ def cmd_eval(args) -> int:
             f"corpus dimension {corpus.drone_raw.shape[1]} does not match "
             f"checkpoint input {params.input_dim}"
         )
+    corpus.check_paired()
     results = _evaluation(params, corpus)
     for key in ("r1_ds", "r5_ds", "r10_ds", "ap_ds", "r1_sd", "r5_sd", "r10_sd", "ap_sd"):
         print(f"{key} {results[key]:.6f}")

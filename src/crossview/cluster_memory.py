@@ -40,22 +40,6 @@ def init_memory(centroids, view: str, momentum: float = 0.2, renormalize: bool =
     return ClusterMemory(centroids=centroids, view=view, momentum=momentum, renormalize=renormalize)
 
 
-def momentum_update(mem: ClusterMemory, cluster_id: int, q) -> ClusterMemory:
-    """Blend one query into its centroid: phi <- m*phi + (1-m)*q."""
-    if not 0 <= cluster_id < mem.num_clusters:
-        raise ValueError(f"cluster id {cluster_id} out of range")
-    q = np.asarray(q, dtype=np.float64).ravel()
-    kernels.blend_chain(
-        mem.centroids,
-        np.array([cluster_id], dtype=np.int64),
-        q[None, :],
-        mem.momentum,
-        1.0 - mem.momentum,
-        mem.renormalize,
-    )
-    return mem
-
-
 def momentum_update_batch(mem: ClusterMemory, cluster_ids, queries) -> ClusterMemory:
     """Sequential momentum updates for a whole batch, in index order."""
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
@@ -72,33 +56,13 @@ def momentum_update_batch(mem: ClusterMemory, cluster_ids, queries) -> ClusterMe
     return mem
 
 
-def bank_contrastive(q, bank, positive_id: int, temperature: float) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy of q against a fixed bank of prototypes.
+def bank_contrastive_rows(queries, bank, positive_ids, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax cross-entropy of each query row against a fixed bank of
+    prototypes.
 
     Logits are plain dot products scaled by 1/temperature (unit rows make
-    them cosines). Returns the loss and its exact gradient in q; the bank
-    is a constant.
-    """
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    bank = np.asarray(bank, dtype=np.float64)
-    if not 0 <= positive_id < bank.shape[0]:
-        raise ValueError(f"positive id {positive_id} out of range")
-    q = np.asarray(q, dtype=np.float64).ravel()
-    logits = bank @ q / temperature
-    shift = logits - logits.max()
-    lse = np.log(np.sum(np.exp(shift)))
-    loss = float(lse - shift[positive_id])
-    p = np.exp(shift - lse)
-    p[positive_id] -= 1.0
-    grad = (bank.T @ p) / temperature
-    return loss, grad
-
-
-def bank_contrastive_rows(queries, bank, positive_ids, temperature: float) -> tuple[np.ndarray, np.ndarray]:
-    """``bank_contrastive`` for every row of a query matrix at once.
-
-    Returns the per-row losses and the per-row gradients.
+    them cosines). Returns the per-row losses and their exact per-row
+    gradients; the bank is a constant.
     """
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -114,10 +78,6 @@ def bank_contrastive_rows(queries, bank, positive_ids, temperature: float) -> tu
     p = np.exp(shift - lse[:, None])
     p[rows, positive_ids] -= 1.0
     return losses, p @ bank / temperature
-
-
-def contrastive_loss(q, mem: ClusterMemory, positive_id: int, temperature: float) -> tuple[float, np.ndarray]:
-    return bank_contrastive(q, mem.centroids, positive_id, temperature)
 
 
 @dataclass

@@ -130,10 +130,3 @@ def compute_centroids(features, labels: PseudoLabels) -> np.ndarray:
         centroids[k] = features[members].mean(axis=0)
     return l2_normalize_rows(centroids)
 
-
-def cluster_count_trace(history) -> list[tuple[int, int]]:
-    """Ordered per-epoch (drone clusters, satellite clusters) series."""
-    trace = [(int(k), int(l)) for k, l in history]
-    if not trace:
-        raise ValueError("no epochs recorded")
-    return trace

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .cluster_memory import bank_contrastive, bank_contrastive_rows
+from .cluster_memory import bank_contrastive_rows
 from .errors import ConfigError
 from .numcore import as_matrix, l2_normalize_rows, sigmoid
 
@@ -77,22 +77,6 @@ def _long_term_weights(dm: DualMemory) -> tuple[float, float]:
     return hist, new
 
 
-def update_long_term(dm: DualMemory, cluster_id: int, q) -> DualMemory:
-    if not 0 <= cluster_id < dm.num_clusters:
-        raise ValueError(f"cluster id {cluster_id} out of range")
-    hist, new = _long_term_weights(dm)
-    q = np.asarray(q, dtype=np.float64).ravel()
-    kernels.blend_chain(
-        dm.long_term,
-        np.array([cluster_id], dtype=np.int64),
-        q[None, :],
-        hist,
-        new,
-        True,
-    )
-    return dm
-
-
 def update_long_term_batch(dm: DualMemory, cluster_ids, queries) -> DualMemory:
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
     if cluster_ids.size and (cluster_ids.min() < 0 or cluster_ids.max() >= dm.num_clusters):
@@ -134,29 +118,7 @@ def refresh_fused(dm: DualMemory) -> DualMemory:
     return dm
 
 
-def fused_bank_loss(q, dm: DualMemory, positive_id, temperature: float):
-    """Contrastive loss of a query against the fused bank.
-
-    Given a matrix of queries and one positive id per row, returns the
-    per-row losses and the per-row gradients.
-    """
-    if np.ndim(q) == 2:
-        return bank_contrastive_rows(q, dm.fused, positive_id, temperature)
-    return bank_contrastive(q, dm.fused, positive_id, temperature)
-
-
-def combined_view_loss(
-    q,
-    dm: DualMemory,
-    positive_id: int,
-    temperature: float,
-    fused_weight: float,
-    base_value: float,
-) -> tuple[float, np.ndarray]:
-    """Per-view total: base contrastive value plus the weighted fused term.
-
-    The returned gradient covers only the fused term; the base term's
-    gradient is produced where that loss is computed.
-    """
-    fused_value, fused_grad = fused_bank_loss(q, dm, positive_id, temperature)
-    return base_value + fused_weight * fused_value, fused_weight * fused_grad
+def fused_bank_loss(queries, dm: DualMemory, positive_ids, temperature: float):
+    """Contrastive loss of each query row against the fused bank: the
+    per-row losses and the per-row gradients."""
+    return bank_contrastive_rows(queries, dm.fused, positive_ids, temperature)

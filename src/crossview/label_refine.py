@@ -139,17 +139,9 @@ def smooth_labels(sat_feats, sat_feats_pert, refined_one_hot, keep: int = 5) -> 
 
 
 def refine_labels(
-    sat_feats,
-    drone_feats,
-    drone_labels: PseudoLabels,
-    config: PerturbConfig,
-    ground_truth: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[RefinedLabels, dict | None]:
-    """Full refinement pipeline; optionally scores against ground truth.
-
-    ground_truth, when given, is (drone locations, satellite locations) and
-    produces a report with the agreement rate; training never passes it.
-    """
+    sat_feats, drone_feats, drone_labels: PseudoLabels, config: PerturbConfig
+) -> RefinedLabels:
+    """Full refinement pipeline: perturb, rank, vote, smooth."""
     config.validate()
     sat_feats = as_matrix(sat_feats, "satellite features")
     drone_feats = as_matrix(drone_feats, "drone features")
@@ -167,14 +159,7 @@ def refine_labels(
     lists_pert = rank_label_lists(sat_pert, drone_pert, drone_labels, depth)
     voted = consistency_vote(lists_orig, lists_pert)
     encoded = one_hot(voted, drone_labels.num_clusters)
-    refined = smooth_labels(sat_feats, sat_pert, encoded, keep=config.smoothing_keep)
-    report = None
-    if ground_truth is not None:
-        drone_loc, sat_loc = ground_truth
-        report = {
-            "agreement": refinement_agreement(refined.hard, drone_labels, drone_loc, sat_loc)
-        }
-    return refined, report
+    return smooth_labels(sat_feats, sat_pert, encoded, keep=config.smoothing_keep)
 
 
 def refinement_agreement(refined_hard, drone_labels: PseudoLabels, drone_loc, sat_loc) -> float:

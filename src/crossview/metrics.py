@@ -45,13 +45,10 @@ def average_precision(query_emb, gallery_emb, query_gt, gallery_gt) -> float:
     ranking = rank_gallery(query_emb, gallery_emb)
     ap_values = np.empty(ranking.shape[0])
     for i in range(ranking.shape[0]):
-        relevant = gallery_gt[ranking[i]] == query_gt[i]
-        total = int(relevant.sum())
-        if total == 0:
-            raise ValueError(f"query {i} has no relevant gallery item")
-        ranks = np.flatnonzero(relevant) + 1
-        found = np.arange(1, total + 1)
-        ap_values[i] = float(np.mean(found / ranks))
+        try:
+            ap_values[i] = ap_from_ranked_relevance(gallery_gt[ranking[i]] == query_gt[i])
+        except ValueError:
+            raise ValueError(f"query {i} has no relevant gallery item") from None
     return float(ap_values.mean())
 
 

@@ -15,9 +15,7 @@ __all__ = [
     "ensure_finite",
     "row_norms",
     "l2_normalize_rows",
-    "cosine_sim",
     "pairwise_sim",
-    "softmax",
     "top_k_indices",
     "sigmoid",
 ]
@@ -52,19 +50,6 @@ def l2_normalize_rows(A) -> np.ndarray:
     return A / norms[:, None]
 
 
-def cosine_sim(a, b) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size != b.size:
-        raise ValueError(f"dimension mismatch: {a.size} vs {b.size}")
-    na = float(np.sqrt(a @ a))
-    nb = float(np.sqrt(b @ b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine similarity of a zero-norm vector")
-    return float(a @ b) / (na * nb)
-
-
 def pairwise_sim(A, B) -> np.ndarray:
     """All-pairs cosine similarity; out[i, j] compares A row i with B row j."""
     A = as_matrix(A, "A")
@@ -78,16 +63,6 @@ def pairwise_sim(A, B) -> np.ndarray:
             bad = int(np.flatnonzero(norms == 0.0)[0])
             raise DegenerateInputError(f"{name} row {bad} has zero norm")
     return (A / na[:, None]) @ (B / nb[:, None]).T
-
-
-def softmax(v, temperature: float = 1.0) -> np.ndarray:
-    """Temperature-scaled softmax with max subtraction for stability."""
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    z = np.asarray(v, dtype=np.float64).ravel() / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def top_k_indices(v, k: int) -> np.ndarray:

@@ -35,6 +35,7 @@ from .clustering import (  # noqa: F401
 )
 from .datagen import Corpus, TrainingView
 from .dual_memory import (
+    UPDATE_RULES,
     DualMemory,
     compute_beta,
     fused_bank_loss,
@@ -126,7 +127,7 @@ class TrainConfig:
             (self.fused_loss_weight >= 0.0, "fused_loss_weight must be >= 0"),
             (self.long_weight >= 0.0 and self.short_weight >= 0.0, "fusion weights must be >= 0"),
             (self.long_weight + self.short_weight > 0.0, "fusion weights cannot both be zero"),
-            (self.update_rule in ("damped", "normalized"), "unknown update_rule"),
+            (self.update_rule in UPDATE_RULES, "unknown update_rule"),
             (0.0 < self.neighbor_threshold < 1.0, "neighbor_threshold must be in (0, 1)"),
             (1 <= self.k_strict <= self.k_expanded, "need 1 <= k_strict <= k_expanded"),
             (self.mutual_weight >= 0.0, "mutual_weight must be >= 0"),
@@ -229,14 +230,6 @@ def sample_view_batch(labels: PseudoLabels, p: int, z: int, rng: Rng) -> np.ndar
     return np.concatenate(picks)
 
 
-def pk_sample(labels_d: PseudoLabels, labels_s: PseudoLabels, p: int, z: int, rng: Rng):
-    """Per-view identity-balanced minibatch indices."""
-    return (
-        sample_view_batch(labels_d, p, z, rng),
-        sample_view_batch(labels_s, p, z, rng),
-    )
-
-
 def total_loss(batch: Batch, memories: EpochMemories, config: TrainConfig) -> TotalLoss:
     """Printed-form total: base + dual + neighborhood terms.
 
@@ -324,6 +317,8 @@ class Trainer:
         config.validate()
         self.config = config
         if isinstance(corpus, Corpus):
+            if corpus.has_ground_truth:
+                corpus.check_paired()
             self.corpus = corpus
             self.view = corpus.training_view()
         else:
@@ -339,7 +334,6 @@ class Trainer:
         self.params = params
         self.rng = Rng(config.seed).derive(23)
         self.epoch = 0
-        self.cluster_history: list[tuple[int, int]] = []
 
     def _pseudo_labels(self, emb_d, emb_s):
         cfg = self.config
@@ -374,8 +368,7 @@ class Trainer:
                 smoothing_keep=cfg.smoothing_keep,
                 seed=(cfg.seed * 1_000_003 + self.epoch) & 0xFFFFFFFFFFFFFFFF,
             )
-            refined, _ = refine_labels(emb_s, emb_d, labels_d, refine_cfg)
-            memories.refined = refined
+            memories.refined = refine_labels(emb_s, emb_d, labels_d, refine_cfg)
             for label in range(labels_d.num_clusters):
                 members = labels_d.members(label)
                 if members.size:
@@ -444,7 +437,6 @@ class Trainer:
                     refresh_fused(dm)
         means = sums / iters
         record = self._evaluate_epoch(labels_d, labels_s, memories, means, started)
-        self.cluster_history.append((labels_d.num_clusters, labels_s.num_clusters))
         self.epoch += 1
         return record
 

@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from crossview.cli import main
-from crossview.datagen import load_corpus
+from crossview.cli import build_parser, main, resolve_config
+from crossview.datagen import Corpus, SyntheticSpec, generate, load_corpus, save_corpus
 from crossview.encoder import init_params, load_params, save_params
 from crossview.numcore import Rng
+from crossview.training import TrainConfig
 
 
 def run_cli(argv):
@@ -40,6 +41,26 @@ def tiny_train_args(out, corpus_dir=None, extra=()):
         args += ["--corpus-dir", str(corpus_dir)]
     args += list(extra)
     return args
+
+
+def unpaired_corpus_dir(tmp_path):
+    """Corpus files in which location 0 has drone rows but no satellite row."""
+    corpus = generate(SyntheticSpec(num_locations=8, latent_dim=4, input_dim=8, drone_per_loc=4))
+    gt_d, gt_s = corpus.ground_truth()
+    corpus = Corpus(corpus.drone_raw, corpus.sat_raw[gt_s != 0], gt_d, gt_s[gt_s != 0])
+    save_corpus(corpus, tmp_path / "drone.dmfv", tmp_path / "satellite.dmfv")
+    return tmp_path
+
+
+def fake_run_dir(tmp_path, manifest_text):
+    """A run directory holding every artifact eval and diag open, with the
+    given manifest text."""
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text(manifest_text)
+    (run / "metrics.jsonl").write_text("")
+    save_params(init_params(Rng(0), 8, 12, 6), run / "checkpoint.dmpw")
+    return run
 
 
 class TestGenerate:
@@ -133,6 +154,21 @@ class TestTrain:
         assert run_cli(tiny_train_args(tmp_path / "r", extra=["--config", str(missing)])) == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_config_file_of_defaults_resolves_to_defaults(self, tmp_path):
+        cfg_file = tmp_path / "defaults.cfg"
+        defaults = TrainConfig().to_dict()
+        cfg_file.write_text("".join(f"{key} = {value}\n" for key, value in defaults.items()))
+        args = build_parser().parse_args(["train", "--out", str(tmp_path / "r"), "--config", str(cfg_file)])
+        config, sources = resolve_config(args)
+        assert config == TrainConfig()
+        assert set(sources.values()) == {"file"}
+
+    def test_unpaired_location_exit_3_before_any_epoch(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli(tiny_train_args(out, corpus_dir=unpaired_corpus_dir(tmp_path))) == 3
+        assert "location 0" in capsys.readouterr().err
+        assert not (out / "metrics.jsonl").exists()
+
     def test_invalid_value_exit_2(self, tmp_path):
         for argv in (
             tiny_train_args(tmp_path / "r", extra=["--temperature", "0"]),
@@ -198,6 +234,17 @@ class TestEval:
             "eval", "--checkpoint", str(out / "checkpoint.dmpw"), "--corpus-dir", str(data)
         ]) == 3
 
+    def test_invalid_manifest_exit_3(self, tmp_path):
+        run = fake_run_dir(tmp_path, "{")
+        argv = ["eval", "--checkpoint", str(run / "checkpoint.dmpw"), "--run", str(run)]
+        assert run_cli(argv) == 3
+
+    def test_unpaired_location_exit_3(self, tmp_path, capsys):
+        checkpoint = fake_run_dir(tmp_path, "{}") / "checkpoint.dmpw"
+        argv = ["eval", "--checkpoint", str(checkpoint), "--corpus-dir", str(unpaired_corpus_dir(tmp_path))]
+        assert run_cli(argv) == 3
+        assert "location 0" in capsys.readouterr().err
+
     def test_identity_friendly_corpus_r1_one(self, tmp_path):
         # separable two-location corpus: after one epoch on shared maps with
         # no noise, retrieval of the exact-match satellite must be perfect
@@ -242,6 +289,9 @@ class TestDiag:
             tiny_train_args(tmp_path / "r", corpus_dir=nowhere),
         ):
             assert run_cli(argv) == 3
+
+    def test_invalid_manifest_exit_3(self, tmp_path):
+        assert run_cli(["diag", "--run", str(fake_run_dir(tmp_path, "{"))]) == 3
 
     def test_separable_corpus_orders_similarity_means(self, tmp_path):
         # after training on a noiseless shared-map corpus, the positive-pair

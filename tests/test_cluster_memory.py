@@ -5,18 +5,24 @@ from hypothesis import strategies as st
 
 from conftest import finite_difference, rel_error, unit_rows
 from crossview.cluster_memory import (
+    bank_contrastive_rows,
     batch_loss_cv,
-    contrastive_loss,
     init_memory,
-    momentum_update,
     momentum_update_batch,
 )
+from reference import bank_contrastive
 
 LN_1P_EXP_NEG1 = float(np.log1p(np.exp(-1.0)))
 
 
 def two_class_memory(view="drone", momentum=0.2, renormalize=True):
     return init_memory(np.eye(2), view, momentum, renormalize)
+
+
+def one_row_loss(q, mem, positive_id, temperature):
+    """Loss and gradient of a batch of one query."""
+    losses, grads = bank_contrastive_rows(np.array([q]), mem.centroids, [positive_id], temperature)
+    return losses[0], grads[0]
 
 
 class TestInit:
@@ -44,17 +50,17 @@ class TestInit:
 class TestMomentumUpdate:
     def test_momentum_one_keeps_centroid(self):
         mem = init_memory(np.eye(2), "drone", momentum=1.0)
-        momentum_update(mem, 0, np.array([0.0, 1.0]))
+        momentum_update_batch(mem, [0], np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(mem.centroids[0], [1.0, 0.0], atol=1e-15)
 
     def test_momentum_zero_takes_query(self):
         mem = init_memory(np.eye(2), "drone", momentum=0.0)
-        momentum_update(mem, 0, np.array([0.0, 1.0]))
+        momentum_update_batch(mem, [0], np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(mem.centroids[0], [0.0, 1.0], atol=1e-15)
 
     def test_hand_value(self):
         mem = two_class_memory(momentum=0.2)
-        momentum_update(mem, 0, np.array([0.0, 1.0]))
+        momentum_update_batch(mem, [0], np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(
             mem.centroids[0], [0.24253563, 0.97014250], atol=1e-8
         )
@@ -62,7 +68,7 @@ class TestMomentumUpdate:
     def test_invalid_cluster(self):
         mem = two_class_memory()
         with pytest.raises(ValueError):
-            momentum_update(mem, 5, np.array([1.0, 0.0]))
+            momentum_update_batch(mem, [5], np.array([[1.0, 0.0]]))
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40), st.integers(0, 2**31))
     @settings(deadline=None, max_examples=40)
@@ -79,13 +85,13 @@ class TestMomentumUpdate:
 class TestContrastiveLoss:
     def test_single_class_zero(self):
         mem = init_memory(np.array([[1.0, 0.0]]), "drone")
-        loss, grad = contrastive_loss(np.array([0.3, 0.1]), mem, 0, 1.0)
+        loss, grad = one_row_loss(np.array([0.3, 0.1]), mem, 0, 1.0)
         assert loss == 0.0
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_hand_value_two_classes(self):
         mem = two_class_memory()
-        loss, _ = contrastive_loss(np.array([1.0, 0.0]), mem, 0, 1.0)
+        loss, _ = one_row_loss(np.array([1.0, 0.0]), mem, 0, 1.0)
         assert loss == pytest.approx(LN_1P_EXP_NEG1, abs=1e-9)
 
     def test_gradient_matches_finite_differences(self, np_rng):
@@ -95,24 +101,24 @@ class TestContrastiveLoss:
             q0 = rng.standard_normal(6)
 
             def value(q):
-                return contrastive_loss(q, mem, 1, 0.3)[0]
+                return one_row_loss(q, mem, 1, 0.3)[0]
 
-            _, grad = contrastive_loss(q0, mem, 1, 0.3)
+            _, grad = one_row_loss(q0, mem, 1, 0.3)
             assert rel_error(grad, finite_difference(value, q0)) <= 1e-6
 
     def test_loss_non_negative(self, np_rng):
         for _ in range(50):
             mem = init_memory(unit_rows(np_rng, 5, 4), "drone")
             q = np_rng.standard_normal(4)
-            loss, _ = contrastive_loss(q, mem, int(np_rng.integers(5)), 0.1)
+            loss, _ = one_row_loss(q, mem, int(np_rng.integers(5)), 0.1)
             assert loss >= 0.0
 
     def test_bad_args(self):
         mem = two_class_memory()
         with pytest.raises(ValueError):
-            contrastive_loss(np.ones(2), mem, 9, 1.0)
+            one_row_loss(np.ones(2), mem, 9, 1.0)
         with pytest.raises(ValueError):
-            contrastive_loss(np.ones(2), mem, 0, 0.0)
+            one_row_loss(np.ones(2), mem, 0, 0.0)
 
 
 class TestBatchLoss:
@@ -140,7 +146,8 @@ class TestBatchLoss:
         qd = unit_rows(np_rng, 1, 4)
         qs = unit_rows(np_rng, 1, 4)
         out = batch_loss_cv(qd, [2], qs, [0], mem_d, mem_s, 0.5)
-        expect = contrastive_loss(qd[0], mem_d, 2, 0.5)[0] + contrastive_loss(qs[0], mem_s, 0, 0.5)[0]
+        expect = bank_contrastive(qd[0], mem_d.centroids, 2, 0.5)[0]
+        expect += bank_contrastive(qs[0], mem_s.centroids, 0, 0.5)[0]
         assert out.value == pytest.approx(expect, abs=1e-12)
 
     def test_noise_label_rejected(self, np_rng):
@@ -165,6 +172,6 @@ class TestDescentProperty:
     def test_small_step_decreases_loss_on_frozen_memory(self, np_rng):
         mem = init_memory(unit_rows(np_rng, 4, 6), "drone")
         q = np_rng.standard_normal(6)
-        loss0, grad = contrastive_loss(q, mem, 2, 0.2)
-        loss1, _ = contrastive_loss(q - 1e-4 * grad, mem, 2, 0.2)
+        loss0, grad = one_row_loss(q, mem, 2, 0.2)
+        loss1, _ = one_row_loss(q - 1e-4 * grad, mem, 2, 0.2)
         assert loss1 < loss0

@@ -8,7 +8,6 @@ from crossview.clustering import (
     NOISE,
     DbscanParams,
     PseudoLabels,
-    cluster_count_trace,
     collapse_replica_labels,
     compute_centroids,
     dbscan,
@@ -247,11 +246,3 @@ class TestCentroids:
         labels = PseudoLabels(labels=np.array([0, NOISE, NOISE]), num_clusters=1)
         np.testing.assert_allclose(compute_centroids(feats, labels), [[1.0, 0.0]], atol=1e-15)
 
-
-class TestTrace:
-    def test_single_epoch(self):
-        assert cluster_count_trace([(10, 7)]) == [(10, 7)]
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            cluster_count_trace([])

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference, rel_error, unit_rows
-from crossview.cluster_memory import contrastive_loss, init_memory
+from crossview.cluster_memory import batch_loss_cv, init_memory
 from crossview.dual_memory import (
-    combined_view_loss,
     compute_beta,
     fused_bank_loss,
     init_dual,
     refresh_fused,
-    update_long_term,
+    update_long_term_batch,
     update_short_term,
 )
 from crossview.errors import ConfigError
+from crossview.training import Batch, EpochMemories, TrainConfig, total_loss
 
 
 def make_dual(np_rng=None, k=3, d=4, **kwargs):
@@ -53,33 +53,33 @@ class TestInit:
 class TestLongTermUpdate:
     def test_hand_value_damped(self):
         dm = init_dual(np.eye(2), momentum=0.2)
-        update_long_term(dm, 0, np.array([0.0, 1.0]))
+        update_long_term_batch(dm, [0], np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(dm.long_term[0], [0.83205029, 0.55470020], atol=1e-8)
 
     def test_query_equal_to_row_keeps_direction(self):
         dm = init_dual(np.eye(2), momentum=0.2)
-        update_long_term(dm, 1, np.array([0.0, 1.0]))
+        update_long_term_batch(dm, [1], np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(dm.long_term[1], [0.0, 1.0], atol=1e-12)
 
     def test_zero_momentum_keeps_direction(self):
         dm = init_dual(np.eye(2), momentum=0.0)
-        update_long_term(dm, 0, np.array([0.0, 1.0]))
+        update_long_term_batch(dm, [0], np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(dm.long_term[0], [1.0, 0.0], atol=1e-12)
 
     def test_normalized_rule_same_direction_as_damped(self, np_rng):
         cents = unit_rows(np_rng, 2, 4)
-        q = unit_rows(np_rng, 1, 4)[0]
+        q = unit_rows(np_rng, 1, 4)
         damped = init_dual(cents, momentum=0.2, update_rule="damped")
         normed = init_dual(cents, momentum=0.2, update_rule="normalized")
-        update_long_term(damped, 0, q)
-        update_long_term(normed, 0, q)
+        update_long_term_batch(damped, [0], q)
+        update_long_term_batch(normed, [0], q)
         np.testing.assert_allclose(damped.long_term[0], normed.long_term[0], atol=1e-12)
 
     def test_banks_stay_unit(self, np_rng):
         for rule in ("damped", "normalized"):
             dm = make_dual(np_rng, update_rule=rule, momentum=0.2)
             for _ in range(30):
-                update_long_term(dm, int(np_rng.integers(3)), unit_rows(np_rng, 1, 4)[0])
+                update_long_term_batch(dm, [int(np_rng.integers(3))], unit_rows(np_rng, 1, 4))
             np.testing.assert_allclose(np.linalg.norm(dm.long_term, axis=1), 1.0, atol=1e-12)
 
 
@@ -123,13 +123,13 @@ class TestShortTermUpdate:
     def test_beta_zero_keeps_short(self, np_rng):
         dm = make_dual(np_rng)
         before = dm.short_term.copy()
-        update_long_term(dm, 0, unit_rows(np_rng, 1, 4)[0])
+        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4))
         update_short_term(dm, 0.0, [0, 1])
         np.testing.assert_allclose(dm.short_term, before, atol=1e-12)
 
     def test_beta_one_copies_long(self, np_rng):
         dm = make_dual(np_rng)
-        update_long_term(dm, 0, unit_rows(np_rng, 1, 4)[0])
+        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4))
         update_short_term(dm, 1.0, [0])
         np.testing.assert_allclose(dm.short_term[0], dm.long_term[0], atol=1e-12)
 
@@ -141,8 +141,8 @@ class TestShortTermUpdate:
 
     def test_only_batch_present_rows_move(self, np_rng):
         dm = make_dual(np_rng)
-        update_long_term(dm, 0, unit_rows(np_rng, 1, 4)[0])
-        update_long_term(dm, 2, unit_rows(np_rng, 1, 4)[0])
+        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4))
+        update_long_term_batch(dm, [2], unit_rows(np_rng, 1, 4))
         before = dm.short_term.copy()
         update_short_term(dm, 0.8, [0])
         np.testing.assert_array_equal(dm.short_term[1], before[1])
@@ -152,7 +152,7 @@ class TestShortTermUpdate:
 class TestFusion:
     def test_long_only(self, np_rng):
         dm = make_dual(np_rng, long_weight=1.0, short_weight=0.0)
-        update_long_term(dm, 0, unit_rows(np_rng, 1, 4)[0])
+        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4))
         refresh_fused(dm)
         np.testing.assert_allclose(dm.fused, dm.long_term, atol=1e-12)
 
@@ -165,7 +165,7 @@ class TestFusion:
 
     def test_rows_unit(self, np_rng):
         dm = make_dual(np_rng, long_weight=0.7, short_weight=0.3)
-        update_long_term(dm, 1, unit_rows(np_rng, 1, 4)[0])
+        update_long_term_batch(dm, [1], unit_rows(np_rng, 1, 4))
         refresh_fused(dm)
         np.testing.assert_allclose(np.linalg.norm(dm.fused, axis=1), 1.0, atol=1e-12)
 
@@ -176,49 +176,54 @@ class TestFusion:
             refresh_fused(dm)
 
 
+def dual_total(np_rng, fused_loss_weight):
+    """total_loss of a two-query batch with the neighbourhood term off, and
+    the batch's base contrastive loss."""
+    cents = unit_rows(np_rng, 3, 4)
+    q, ids, rows = np_rng.standard_normal((2, 4)), [1, 2], [0, 1]
+    banks = [init_memory(cents, view) for view in ("drone", "satellite")]
+    mem = EpochMemories(*banks, dual_d=init_dual(cents), dual_s=init_dual(cents))
+    config = TrainConfig(temperature=0.2, fused_loss_weight=fused_loss_weight, enable_neighbor=False)
+    out = total_loss(Batch(q, ids, rows, q, ids, rows), mem, config)
+    return out, batch_loss_cv(q, ids, q, ids, *banks, 0.2)
+
+
 class TestCombinedLoss:
     def test_zero_weight_reduces_to_base(self, np_rng):
-        dm = make_dual(np_rng)
-        q = unit_rows(np_rng, 1, 4)[0]
-        base = 1.234
-        value, grad = combined_view_loss(q, dm, 0, 0.5, 0.0, base)
-        assert value == base
-        np.testing.assert_allclose(grad, 0.0, atol=1e-15)
+        # the fused term adds no gradient: base and dual terms each carry the base one
+        out, base = dual_total(np_rng, 0.0)
+        np.testing.assert_allclose(out.drone_grads - 2.0 * base.drone_grads, 0.0, atol=1e-15)
+        np.testing.assert_allclose(out.sat_grads - 2.0 * base.sat_grads, 0.0, atol=1e-15)
 
     def test_single_cluster_fused_term_zero(self, np_rng):
         dm = init_dual(unit_rows(np_rng, 1, 4))
-        q = unit_rows(np_rng, 1, 4)[0]
-        value, _ = combined_view_loss(q, dm, 0, 0.5, 2.0, 0.7)
-        assert value == pytest.approx(0.7, abs=1e-15)
+        q = unit_rows(np_rng, 1, 4)
+        value, _ = fused_bank_loss(q, dm, [0], 0.5)
+        assert value[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_exact_match_with_base_loss(self, np_rng):
-        # bit-level: weight zero means the combined value IS the base value
-        cents = unit_rows(np_rng, 3, 4)
-        dm = init_dual(cents)
-        mem = init_memory(cents, "drone")
-        q = np_rng.standard_normal(4)
-        base, _ = contrastive_loss(q, mem, 1, 0.2)
-        value, _ = combined_view_loss(q, dm, 1, 0.2, 0.0, base)
-        assert value == base
+        # bit-level: weight zero means the dual value IS the base value
+        out, base = dual_total(np_rng, 0.0)
+        assert out.dual == base.value
 
     def test_gradient_matches_finite_differences(self, np_rng):
         for seed in range(5):
             rng = np.random.default_rng(seed)
             dm = init_dual(unit_rows(rng, 4, 5))
-            q0 = rng.standard_normal(5)
+            q0 = rng.standard_normal((1, 5))
 
             def value(q):
-                return fused_bank_loss(q, dm, 2, 0.4)[0]
+                return fused_bank_loss(q[None, :], dm, [2], 0.4)[0][0]
 
-            _, grad = fused_bank_loss(q0, dm, 2, 0.4)
-            assert rel_error(grad, finite_difference(value, q0)) <= 1e-6
+            _, grad = fused_bank_loss(q0, dm, [2], 0.4)
+            assert rel_error(grad, finite_difference(value, q0[0])) <= 1e-6
 
     def test_all_equal_state_is_update_fixed_point(self, np_rng):
         cents = unit_rows(np_rng, 3, 4)
         for rule in ("damped", "normalized"):
             dm = init_dual(cents, momentum=0.2, update_rule=rule)
             for k in range(3):
-                update_long_term(dm, k, cents[k])
+                update_long_term_batch(dm, [k], cents[k : k + 1])
             update_short_term(dm, compute_beta(cents, dm, [0, 1, 2]), [0, 1, 2])
             refresh_fused(dm)
             np.testing.assert_allclose(dm.long_term, cents, atol=1e-12)

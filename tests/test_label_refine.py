@@ -213,7 +213,7 @@ class TestPipeline:
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                refined, _ = refine_labels(sat, drone, labels, cfg)
+                refined = refine_labels(sat, drone, labels, cfg)
                 want_scores, want_hard = reference_pipeline(
                     sat, drone, labels, depth=min(5, n), keep=5, noise_std=0.02, seed=trial
                 )
@@ -233,17 +233,17 @@ class TestPipeline:
     def test_deterministic_per_seed(self, np_rng):
         sat, drone, labels = self.make_instance(np_rng)
         cfg = PerturbConfig(noise_std=0.05, rank_depth=4, smoothing_keep=4, seed=11)
-        a, _ = refine_labels(sat, drone, labels, cfg)
-        b, _ = refine_labels(sat, drone, labels, cfg)
+        a = refine_labels(sat, drone, labels, cfg)
+        b = refine_labels(sat, drone, labels, cfg)
         np.testing.assert_array_equal(a.hard, b.hard)
 
     def test_gallery_permutation_invariance(self, np_rng):
         sat, drone, labels = self.make_instance(np_rng)
         cfg = PerturbConfig(noise_std=0.0, rank_depth=5, smoothing_keep=4, seed=0)
-        base, _ = refine_labels(sat, drone, labels, cfg)
+        base = refine_labels(sat, drone, labels, cfg)
         perm = np_rng.permutation(drone.shape[0])
         permuted_labels = PseudoLabels(labels=labels.labels[perm], num_clusters=labels.num_clusters)
-        out, _ = refine_labels(sat, drone[perm], permuted_labels, cfg)
+        out = refine_labels(sat, drone[perm], permuted_labels, cfg)
         np.testing.assert_array_equal(base.hard, out.hard)
 
     def test_noiseless_separable_recovers_ground_truth(self):
@@ -258,11 +258,9 @@ class TestPipeline:
         sat_loc = np.arange(locs)
         labels = PseudoLabels(labels=drone_loc.copy(), num_clusters=locs)
         cfg = PerturbConfig(noise_std=0.005, rank_depth=4, smoothing_keep=1, seed=2)
-        refined, report = refine_labels(
-            sat, drone, labels, cfg, ground_truth=(drone_loc, sat_loc)
-        )
+        refined = refine_labels(sat, drone, labels, cfg)
         np.testing.assert_array_equal(refined.hard, sat_loc)
-        assert report["agreement"] == 1.0
+        assert refinement_agreement(refined.hard, labels, drone_loc, sat_loc) == 1.0
 
 
 class TestAgreement:

@@ -98,7 +98,7 @@ class TestAveragePrecision:
     def test_query_without_match_rejected(self):
         queries = np.eye(2)
         gallery = np.eye(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="query 1 has no relevant gallery item"):
             average_precision(queries, gallery, [0, 1], [0, 5])
 
     def test_matches_brute_force(self, np_rng):

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference, rel_error, unit_rows
-from crossview.neighborhood import (
-    NeighborWeights,
+from crossview.neighborhood import NeighborWeights, build_instance_memory, neighborhood_total
+from reference import (
     alignment_loss,
-    build_instance_memory,
     consistency_loss,
     mutual_info_loss,
-    neighborhood_total,
     threshold_neighborhood,
     topk_neighborhoods,
     uniform_divergence,

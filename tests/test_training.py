@@ -19,7 +19,6 @@ from crossview.training import (
     ABLATIONS,
     TrainConfig,
     Trainer,
-    pk_sample,
     sample_view_batch,
     summary_record,
     write_metrics,
@@ -127,9 +126,12 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_view_batch(self.make_labels(), 4, 1, Rng(0))
 
-    def test_pk_sample_returns_both_views(self):
+    def test_one_stream_draws_both_views(self):
+        # the trainer draws the drone batch, then the satellite batch, from one stream
         labels = self.make_labels()
-        idx_d, idx_s = pk_sample(labels, labels, 2, 3, Rng(1))
+        rng = Rng(1)
+        idx_d = sample_view_batch(labels, 2, 3, rng)
+        idx_s = sample_view_batch(labels, 2, 3, rng)
         assert idx_d.shape == (6,) and idx_s.shape == (6,)
 
     def test_cluster_selection_uniform(self):
@@ -183,8 +185,9 @@ class TestEpoch:
 
     def test_memories_rebuilt_each_epoch(self):
         corpus = tiny_corpus()
-        trainer, _ = quiet_train(tiny_config(epochs=2), corpus)
-        assert len(trainer.cluster_history) == 2
+        _, records = quiet_train(tiny_config(epochs=2), corpus)
+        assert [r.epoch for r in records] == [0, 1]
+        assert all(r.clusters_drone > 0 and r.clusters_sat > 0 for r in records)
 
     def test_refine_agreement_recorded(self):
         corpus = tiny_corpus()
