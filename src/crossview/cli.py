@@ -22,7 +22,10 @@ from . import __version__, encoder
 from .datagen import Corpus, SyntheticSpec, generate, load_corpus, save_corpus
 from .dual_memory import UPDATE_RULES
 from .errors import ConfigError, CrossviewError, DataError, NumericError
-from .metrics import average_precision, recall_at_k
+from .metrics import SCORE_KEYS, evaluate_retrieval
+# recall_at_k and average_precision are unused here but stay importable
+# from this module: perfbench/tracer.py wraps them by name.
+from .metrics import average_precision, recall_at_k  # noqa: F401
 from .numcore import pairwise_sim
 from .training import ABLATIONS, TrainConfig, Trainer, write_metrics
 
@@ -40,6 +43,14 @@ def _parse_bool(raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"cannot parse boolean value {raw!r}")
+
+
+def _bool_flag(raw: str) -> bool:
+    """``_parse_bool`` for argparse, which turns this error into exit 2."""
+    try:
+        return _parse_bool(raw)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _coerce(key: str, raw: str):
@@ -100,7 +111,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     for key, kind in _CONFIG_FIELDS.items():
         flag = "--" + key.replace("_", "-")
         if kind is bool:
-            group.add_argument(flag, type=_parse_bool, default=None, metavar="BOOL")
+            group.add_argument(flag, type=_bool_flag, default=None, metavar="BOOL")
         elif kind is str:  # update_rule, the one string field
             group.add_argument(flag, choices=UPDATE_RULES, default=None)
         else:
@@ -158,13 +169,19 @@ def _resolve_corpus(descriptor: dict) -> Corpus:
     raise DataError(f"unknown corpus kind {descriptor['kind']!r}")
 
 
-def _read_manifest(path: Path) -> dict:
+def _manifest_corpus(path: Path) -> dict:
+    """The corpus descriptor a ``train`` run recorded in its manifest."""
     try:
-        return json.loads(path.read_text())
+        manifest = json.loads(path.read_text())
     except OSError as exc:
         raise DataError(f"{path}: cannot read run manifest: {exc.strerror}") from None
     except ValueError as exc:  # also covers json.JSONDecodeError and bad UTF-8
         raise DataError(f"{path}: run manifest is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: run manifest is not a JSON object")
+    if not isinstance(manifest.get("corpus"), dict):
+        raise DataError(f"{path}: run manifest has no corpus entry; is it a train run?")
+    return manifest["corpus"]
 
 
 def cmd_generate(args) -> int:
@@ -225,16 +242,7 @@ def cmd_train(args) -> int:
 def _evaluation(params, corpus: Corpus) -> dict:
     emb_d, _ = encoder.forward(params, corpus.drone_raw)
     emb_s, _ = encoder.forward(params, corpus.sat_raw)
-    gt_d, gt_s = corpus.ground_truth()
-    out = {}
-    for prefix, q, g, qt, gt in (
-        ("ds", emb_d, emb_s, gt_d, gt_s),
-        ("sd", emb_s, emb_d, gt_s, gt_d),
-    ):
-        for k in (1, 5, 10):
-            out[f"r{k}_{prefix}"] = recall_at_k(q, g, qt, gt, k)
-        out[f"ap_{prefix}"] = average_precision(q, g, qt, gt)
-    return out
+    return evaluate_retrieval(emb_d, emb_s, *corpus.ground_truth())
 
 
 def cmd_eval(args) -> int:
@@ -244,8 +252,7 @@ def cmd_eval(args) -> int:
     if args.corpus_dir:
         corpus = load_corpus(Path(args.corpus_dir) / DRONE_FILE, Path(args.corpus_dir) / SAT_FILE)
     else:
-        manifest = _read_manifest(Path(args.run) / "manifest.json")
-        corpus = _resolve_corpus(manifest["corpus"])
+        corpus = _resolve_corpus(_manifest_corpus(Path(args.run) / "manifest.json"))
     if corpus.drone_raw.shape[1] != params.input_dim:
         raise DataError(
             f"corpus dimension {corpus.drone_raw.shape[1]} does not match "
@@ -253,7 +260,7 @@ def cmd_eval(args) -> int:
         )
     corpus.check_paired()
     results = _evaluation(params, corpus)
-    for key in ("r1_ds", "r5_ds", "r10_ds", "ap_ds", "r1_sd", "r5_sd", "r10_sd", "ap_sd"):
+    for key in SCORE_KEYS:
         print(f"{key} {results[key]:.6f}")
     if args.out:
         Path(args.out).write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
@@ -268,7 +275,7 @@ def cmd_diag(args) -> int:
     for required in (manifest_path, metrics_path, checkpoint_path):
         if not required.exists():
             raise DataError(f"missing run artifact: {required}")
-    manifest = _read_manifest(manifest_path)
+    descriptor = _manifest_corpus(manifest_path)
     records = [json.loads(line) for line in metrics_path.read_text().splitlines() if line]
     epochs = [r for r in records if "summary" not in r]
     trace_path = run / "cluster_trace.tsv"
@@ -276,7 +283,7 @@ def cmd_diag(args) -> int:
         fh.write("epoch\tclusters_drone\tclusters_sat\n")
         for r in epochs:
             fh.write(f"{r['epoch']}\t{r['clusters_drone']}\t{r['clusters_sat']}\n")
-    corpus = _resolve_corpus(manifest["corpus"])
+    corpus = _resolve_corpus(descriptor)
     params = encoder.load_params(checkpoint_path)
     emb_d, _ = encoder.forward(params, corpus.drone_raw)
     emb_s, _ = encoder.forward(params, corpus.sat_raw)

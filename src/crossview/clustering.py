@@ -52,10 +52,6 @@ class PseudoLabels:
     def members(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.labels == k)
 
-    @property
-    def noise_count(self) -> int:
-        return int(np.sum(self.labels == NOISE))
-
 
 def dbscan(features, params: DbscanParams) -> PseudoLabels:
     """Core/border/noise semantics with deterministic cluster numbering.
@@ -66,7 +62,8 @@ def dbscan(features, params: DbscanParams) -> PseudoLabels:
     features = as_matrix(features, "features")
     if features.shape[0] < 1:
         raise ValueError("dbscan needs at least one row")
-    dist = 1.0 - pairwise_sim(features, features)
+    dist = pairwise_sim(features, features)
+    np.subtract(1.0, dist, out=dist)  # in place: no second n x n matrix
     adjacency = dist <= params.eps
     neighbor_counts = adjacency.sum(axis=1)
     core = neighbor_counts >= params.min_pts

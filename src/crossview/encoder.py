@@ -135,15 +135,6 @@ def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> EncoderG
     return EncoderGrads(dw1, db1, dw2, db2)
 
 
-def zero_grads(params: EncoderParams) -> EncoderGrads:
-    return EncoderGrads(
-        np.zeros_like(params.w1),
-        np.zeros_like(params.b1),
-        np.zeros_like(params.w2),
-        np.zeros_like(params.b2),
-    )
-
-
 def sgd_step(params: EncoderParams, grads: EncoderGrads, lr: float) -> EncoderParams:
     """Plain gradient descent: theta <- theta - lr * g."""
     if not lr >= 0.0:
@@ -177,12 +168,6 @@ def unflatten_params(flat, like: EncoderParams) -> EncoderParams:
     if pos != flat.size:
         raise ValueError(f"flat vector has {flat.size} entries, expected {pos}")
     return EncoderParams(*out)
-
-
-def flatten_grads(grads: EncoderGrads) -> np.ndarray:
-    return np.concatenate(
-        [grads.w1.ravel(), grads.b1.ravel(), grads.w2.ravel(), grads.b2.ravel()]
-    )
 
 
 def save_params(params: EncoderParams, path) -> None:

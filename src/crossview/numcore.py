@@ -117,6 +117,3 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def uniform_stream(self, n: int) -> np.ndarray:
-        return self._gen.random(n)

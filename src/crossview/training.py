@@ -46,7 +46,10 @@ from .dual_memory import (
 )
 from .errors import ClusteringError, ConfigError, DataError, NumericError
 from .label_refine import PerturbConfig, RefinedLabels, refine_labels, refinement_agreement
-from .metrics import average_precision, recall_at_k
+from .metrics import SCORE_KEYS, evaluate_retrieval
+# recall_at_k and average_precision are unused here but stay importable
+# from this module: perfbench/tracer.py wraps them by name.
+from .metrics import average_precision, recall_at_k  # noqa: F401
 from .neighborhood import (
     InstanceMemory,
     NeighborWeights,
@@ -443,17 +446,11 @@ class Trainer:
     def _evaluate_epoch(self, labels_d, labels_s, memories, means, started) -> EpochRecord:
         emb_d, _ = encoder.forward(self.params, self.view.drone_raw)
         emb_s, _ = encoder.forward(self.params, self.view.sat_raw)
-        evals = {k: None for k in ("r1_ds", "r5_ds", "r10_ds", "ap_ds", "r1_sd", "r5_sd", "r10_sd", "ap_sd")}
+        evals = dict.fromkeys(SCORE_KEYS)
         agreement = None
         if self.corpus is not None and self.corpus.has_ground_truth:
             gt_d, gt_s = self.corpus.ground_truth()
-            for prefix, q, g, qt, gt in (
-                ("ds", emb_d, emb_s, gt_d, gt_s),
-                ("sd", emb_s, emb_d, gt_s, gt_d),
-            ):
-                for k in (1, 5, 10):
-                    evals[f"r{k}_{prefix}"] = recall_at_k(q, g, qt, gt, k)
-                evals[f"ap_{prefix}"] = average_precision(q, g, qt, gt)
+            evals = evaluate_retrieval(emb_d, emb_s, gt_d, gt_s)
             if memories.refined is not None:
                 agreement = refinement_agreement(memories.refined.hard, labels_d, gt_d, gt_s)
         return EpochRecord(
@@ -493,7 +490,7 @@ def summary_record(records: list[EpochRecord], config: TrainConfig | None = None
     if scored:
         best = max(scored, key=lambda r: (r.r1_ds, -r.epoch))
         summary["best_epoch"] = best.epoch
-        for key in ("r1_ds", "r5_ds", "r10_ds", "ap_ds", "r1_sd", "r5_sd", "r10_sd", "ap_sd"):
+        for key in SCORE_KEYS:
             summary[key] = getattr(best, key)
     return {"summary": summary}
 

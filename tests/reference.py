@@ -1,15 +1,20 @@
 """Single-row and per-query references that the tests check crossview's
 batch functions against: ``cosine_sim`` for ``numcore.pairwise_sim``,
-``bank_contrastive`` for ``cluster_memory.bank_contrastive_rows``, and the
-per-query neighbourhood sets and losses for ``neighborhood_total``."""
+``bank_contrastive`` for ``cluster_memory.bank_contrastive_rows``, the
+per-query neighbourhood sets and losses for ``neighborhood_total``, and
+the full-ranking Recall@K and AP for ``metrics.evaluate_retrieval``.
+Below them sit small helpers that only the tests need."""
 
 import math
 
 import numpy as np
 
+from crossview.clustering import NOISE, PseudoLabels
+from crossview.encoder import EncoderGrads, EncoderParams
 from crossview.errors import DegenerateInputError
+from crossview.metrics import rank_gallery
 from crossview.neighborhood import InstanceMemory, _check_ks
-from crossview.numcore import top_k_indices
+from crossview.numcore import Rng, top_k_indices
 
 
 def cosine_sim(a, b) -> float:
@@ -163,3 +168,73 @@ def mutual_info_loss(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]
         raise ValueError("strict neighborhood is empty")
     loss, grad = _divergence(q, mem, picked)
     return -loss, -grad
+
+
+def ap_from_ranked_relevance(relevant) -> float:
+    """Average precision of one ranked boolean relevance list."""
+    relevant = np.asarray(relevant, dtype=bool)
+    total = int(relevant.sum())
+    if total == 0:
+        raise ValueError("no relevant items in ranking")
+    ranks = np.flatnonzero(relevant) + 1
+    found = np.arange(1, total + 1)
+    return float(np.mean(found / ranks))
+
+
+def recall_by_ranking(query_emb, gallery_emb, query_gt, gallery_gt, k: int) -> float:
+    """Recall@K read off each query's full stable ranking."""
+    gallery_gt = np.asarray(gallery_gt, dtype=np.int64)
+    query_gt = np.asarray(query_gt, dtype=np.int64)
+    ranking = rank_gallery(query_emb, gallery_emb)
+    depth = min(k, gallery_gt.size)
+    hits = 0
+    for i in range(ranking.shape[0]):
+        if np.any(gallery_gt[ranking[i, :depth]] == query_gt[i]):
+            hits += 1
+    return hits / ranking.shape[0]
+
+
+def ap_by_ranking(query_emb, gallery_emb, query_gt, gallery_gt) -> float:
+    """Mean AP read off each query's full stable ranking."""
+    gallery_gt = np.asarray(gallery_gt, dtype=np.int64)
+    query_gt = np.asarray(query_gt, dtype=np.int64)
+    ranking = rank_gallery(query_emb, gallery_emb)
+    ap_values = np.empty(ranking.shape[0])
+    for i in range(ranking.shape[0]):
+        ap_values[i] = ap_from_ranked_relevance(gallery_gt[ranking[i]] == query_gt[i])
+    return float(ap_values.mean())
+
+
+def evaluation_by_ranking(emb_d, emb_s, gt_d, gt_s) -> dict:
+    """Both directions, one full ranking per score: four per direction."""
+    out = {}
+    for prefix, q, g, qt, gt in (
+        ("ds", emb_d, emb_s, gt_d, gt_s),
+        ("sd", emb_s, emb_d, gt_s, gt_d),
+    ):
+        for k in (1, 5, 10):
+            out[f"r{k}_{prefix}"] = recall_by_ranking(q, g, qt, gt, k)
+        out[f"ap_{prefix}"] = ap_by_ranking(q, g, qt, gt)
+    return out
+
+
+def zero_grads(params: EncoderParams) -> EncoderGrads:
+    return EncoderGrads(
+        np.zeros_like(params.w1),
+        np.zeros_like(params.b1),
+        np.zeros_like(params.w2),
+        np.zeros_like(params.b2),
+    )
+
+
+def flatten_grads(grads: EncoderGrads) -> np.ndarray:
+    return np.concatenate([grads.w1.ravel(), grads.b1.ravel(), grads.w2.ravel(), grads.b2.ravel()])
+
+
+def uniform_stream(rng: Rng, n: int) -> np.ndarray:
+    """n uniform draws from the generator behind ``rng``."""
+    return rng._gen.random(n)
+
+
+def noise_count(labels: PseudoLabels) -> int:
+    return int(np.sum(labels.labels == NOISE))

@@ -182,6 +182,12 @@ class TestTrain:
         argv = ["train", "--out", str(tmp_path / "r"), "--locations", "1", "--epochs", "1"]
         assert run_cli(argv) == 3
 
+    def test_unparsable_boolean_flag_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tiny_train_args(tmp_path / "r", extra=["--enable-dual", "maybe"]))
+        assert exc.value.code == 2
+        assert "cannot parse boolean value 'maybe'" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(tiny_train_args(tmp_path / "r", extra=["--frobnicate", "1"]))
@@ -239,6 +245,20 @@ class TestEval:
         argv = ["eval", "--checkpoint", str(run / "checkpoint.dmpw"), "--run", str(run)]
         assert run_cli(argv) == 3
 
+    def test_manifest_not_an_object_exit_3(self, tmp_path, capsys):
+        run = fake_run_dir(tmp_path, "[1, 2]")
+        argv = ["eval", "--checkpoint", str(run / "checkpoint.dmpw"), "--run", str(run)]
+        assert run_cli(argv) == 3
+        assert str(run / "manifest.json") in capsys.readouterr().err
+
+    def test_generate_output_as_run_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run_cli(["generate", "--out", str(data), "--locations", "4", "--latent-dim", "4", "--input-dim", "8"])
+        checkpoint = tmp_path / "checkpoint.dmpw"
+        save_params(init_params(Rng(0), 8, 12, 6), checkpoint)
+        assert run_cli(["eval", "--checkpoint", str(checkpoint), "--run", str(data)]) == 3
+        assert str(data / "manifest.json") in capsys.readouterr().err
+
     def test_unpaired_location_exit_3(self, tmp_path, capsys):
         checkpoint = fake_run_dir(tmp_path, "{}") / "checkpoint.dmpw"
         argv = ["eval", "--checkpoint", str(checkpoint), "--corpus-dir", str(unpaired_corpus_dir(tmp_path))]
@@ -292,6 +312,11 @@ class TestDiag:
 
     def test_invalid_manifest_exit_3(self, tmp_path):
         assert run_cli(["diag", "--run", str(fake_run_dir(tmp_path, "{"))]) == 3
+
+    def test_manifest_without_corpus_exit_3(self, tmp_path, capsys):
+        run = fake_run_dir(tmp_path, '{"command": "generate"}')
+        assert run_cli(["diag", "--run", str(run)]) == 3
+        assert str(run / "manifest.json") in capsys.readouterr().err
 
     def test_separable_corpus_orders_similarity_means(self, tmp_path):
         # after training on a noiseless shared-map corpus, the positive-pair

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_rows
+from reference import noise_count
 from crossview.clustering import (
     NOISE,
     DbscanParams,
@@ -76,13 +77,13 @@ class TestDbscan:
         feats = np.tile([0.6, 0.8], (5, 1))
         out = dbscan(feats, DbscanParams(eps=0.1, min_pts=5))
         assert out.num_clusters == 1
-        assert out.noise_count == 0
+        assert noise_count(out) == 0
 
     def test_tiny_eps_all_noise(self):
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         out = dbscan(feats, DbscanParams(eps=1e-9, min_pts=2))
         assert out.num_clusters == 0
-        assert out.noise_count == 3
+        assert noise_count(out) == 3
 
     def test_invalid_params(self):
         feats = np.eye(2)

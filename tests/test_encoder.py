@@ -5,6 +5,7 @@ from conftest import finite_difference, rel_error, unit_rows
 from crossview import encoder
 from crossview.errors import BadMagicError, DegenerateInputError, NumericError, TruncatedFileError
 from crossview.numcore import Rng
+from reference import flatten_grads, zero_grads
 
 
 def small_setup(seed=0, n=5, input_dim=6, hidden=4, embed=5):
@@ -80,7 +81,7 @@ class TestBackward:
         emb, tape = encoder.forward(params, X)
         grads = encoder.backward(params, tape, np.tile(c, (1, 1)))
         fd = finite_difference(loss_at, encoder.flatten_params(params))
-        assert rel_error(encoder.flatten_grads(grads), fd) <= 1e-6
+        assert rel_error(flatten_grads(grads), fd) <= 1e-6
 
     def test_batch_quadratic_loss_matches_finite_differences(self, np_rng):
         params, X = small_setup(seed=5, n=4)
@@ -94,7 +95,7 @@ class TestBackward:
         emb, tape = encoder.forward(params, X)
         grads = encoder.backward(params, tape, emb - target)
         fd = finite_difference(loss_at, encoder.flatten_params(params))
-        assert rel_error(encoder.flatten_grads(grads), fd) <= 1e-6
+        assert rel_error(flatten_grads(grads), fd) <= 1e-6
 
     def test_shape_check(self):
         params, X = small_setup()
@@ -106,7 +107,7 @@ class TestBackward:
 class TestSgdStep:
     def test_zero_grads_keep_params(self):
         params, _ = small_setup()
-        out = encoder.sgd_step(params, encoder.zero_grads(params), 0.5)
+        out = encoder.sgd_step(params, zero_grads(params), 0.5)
         np.testing.assert_array_equal(out.w1, params.w1)
 
     def test_zero_lr_keeps_params(self):
@@ -128,7 +129,7 @@ class TestSgdStep:
 
     def test_non_finite_grads_rejected(self):
         params, _ = small_setup()
-        grads = encoder.zero_grads(params)
+        grads = zero_grads(params)
         grads.w1[0, 0] = np.nan
         with pytest.raises(NumericError):
             encoder.sgd_step(params, grads, 0.1)
