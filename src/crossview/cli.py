@@ -34,6 +34,11 @@ SAT_FILE = "satellite.dmfv"
 HIST_BINS = 40
 
 _CONFIG_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+# the JSON value types a manifest may give each SyntheticSpec field
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+_SPEC_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(SyntheticSpec)}
+# SyntheticSpec fields whose command-line flag has another name
+_SPEC_FLAGS = {"num_locations": "locations", "seed": "corpus_seed"}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -72,6 +77,8 @@ def read_config_file(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config file is not UTF-8 text: {exc.reason}") from None
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -118,34 +125,29 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             group.add_argument(flag, type=kind, default=None)
 
 
-def _add_synthetic_flags(parser: argparse.ArgumentParser, prefix: str = "") -> None:
+def _add_synthetic_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("synthetic corpus")
-    group.add_argument(f"--{prefix}locations", type=int, default=64)
-    group.add_argument(f"--{prefix}latent-dim", type=int, default=16)
-    group.add_argument(f"--{prefix}input-dim", type=int, default=32)
-    group.add_argument(f"--{prefix}drone-per-loc", type=int, default=8)
-    group.add_argument(f"--{prefix}sat-per-loc", type=int, default=1)
-    group.add_argument(f"--{prefix}noise-std", type=float, default=0.05)
-    group.add_argument(f"--{prefix}corpus-seed", type=int, default=0)
-    group.add_argument(f"--{prefix}shared-view-maps", action="store_true")
+    for f in fields(SyntheticSpec):
+        flag = "--" + _SPEC_FLAGS.get(f.name, f.name).replace("_", "-")
+        if f.type is bool:
+            group.add_argument(flag, action="store_true")
+        else:
+            group.add_argument(flag, type=f.type, default=f.default)
 
 
-def _spec_from_args(args) -> SyntheticSpec:
-    spec = SyntheticSpec(
-        num_locations=args.locations,
-        latent_dim=args.latent_dim,
-        input_dim=args.input_dim,
-        drone_per_loc=args.drone_per_loc,
-        sat_per_loc=args.sat_per_loc,
-        noise_std=args.noise_std,
-        seed=args.corpus_seed,
-        shared_view_maps=args.shared_view_maps,
-    )
+def _checked_spec(values: dict, error: type[CrossviewError]) -> SyntheticSpec:
+    """A validated spec; a bad value raises ``error`` (ConfigError or DataError)."""
+    spec = SyntheticSpec(**values)
     try:
         spec.validate()
     except ValueError as exc:
-        raise ConfigError(f"synthetic corpus: {exc}") from None
+        raise error(f"synthetic corpus: {exc}") from None
     return spec
+
+
+def _spec_from_args(args) -> SyntheticSpec:
+    values = {key: getattr(args, _SPEC_FLAGS.get(key, key)) for key in _SPEC_TYPES}
+    return _checked_spec(values, ConfigError)
 
 
 def _corpus_descriptor(args) -> dict:
@@ -161,16 +163,23 @@ def _corpus_descriptor(args) -> dict:
 
 
 def _resolve_corpus(descriptor: dict) -> Corpus:
-    if descriptor["kind"] == "files":
-        return load_corpus(descriptor["drone"], descriptor["satellite"])
-    if descriptor["kind"] == "synthetic":
-        spec_args = {k: v for k, v in descriptor.items() if k != "kind"}
-        return generate(SyntheticSpec(**spec_args))
-    raise DataError(f"unknown corpus kind {descriptor['kind']!r}")
+    kind = descriptor.get("kind")
+    if kind == "files":
+        paths = [descriptor.get("drone"), descriptor.get("satellite")]
+        if not all(isinstance(p, str) for p in paths):
+            raise DataError("a files corpus needs drone and satellite paths")
+        return load_corpus(*paths)
+    if kind != "synthetic":
+        raise DataError(f"unknown corpus kind {kind!r}")
+    spec_args = {k: v for k, v in descriptor.items() if k != "kind"}
+    for key, value in spec_args.items():
+        if type(value) not in _SPEC_TYPES.get(key, ()):
+            raise DataError(f"synthetic corpus: {key} = {value!r} does not fit SyntheticSpec")
+    return generate(_checked_spec(spec_args, DataError))
 
 
-def _manifest_corpus(path: Path) -> dict:
-    """The corpus descriptor a ``train`` run recorded in its manifest."""
+def _manifest_corpus(path: Path) -> Corpus:
+    """The corpus a ``train`` run recorded in its manifest."""
     try:
         manifest = json.loads(path.read_text())
     except OSError as exc:
@@ -181,7 +190,23 @@ def _manifest_corpus(path: Path) -> dict:
         raise DataError(f"{path}: run manifest is not a JSON object")
     if not isinstance(manifest.get("corpus"), dict):
         raise DataError(f"{path}: run manifest has no corpus entry; is it a train run?")
-    return manifest["corpus"]
+    try:
+        return _resolve_corpus(manifest["corpus"])
+    except DataError as exc:
+        raise DataError(f"{path}: corpus entry: {exc}") from None
+
+
+def _cluster_trace(path: Path) -> list[tuple]:
+    """(epoch, drone clusters, satellite clusters) of each epoch record in
+    a run's ``metrics.jsonl``."""
+    try:
+        records = [json.loads(line) for line in path.read_text("utf-8").splitlines() if line]
+        epochs = [r for r in records if "summary" not in r]
+        return [(r["epoch"], r["clusters_drone"], r["clusters_sat"]) for r in epochs]
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read metrics: {exc.strerror}") from None
+    except (ValueError, KeyError, TypeError) as exc:  # bad UTF-8 or JSON, or not a record
+        raise DataError(f"{path}: not a metrics file: {exc!r}") from None
 
 
 def cmd_generate(args) -> int:
@@ -252,7 +277,7 @@ def cmd_eval(args) -> int:
     if args.corpus_dir:
         corpus = load_corpus(Path(args.corpus_dir) / DRONE_FILE, Path(args.corpus_dir) / SAT_FILE)
     else:
-        corpus = _resolve_corpus(_manifest_corpus(Path(args.run) / "manifest.json"))
+        corpus = _manifest_corpus(Path(args.run) / "manifest.json")
     if corpus.drone_raw.shape[1] != params.input_dim:
         raise DataError(
             f"corpus dimension {corpus.drone_raw.shape[1]} does not match "
@@ -269,22 +294,16 @@ def cmd_eval(args) -> int:
 
 def cmd_diag(args) -> int:
     run = Path(args.run)
-    manifest_path = run / "manifest.json"
-    metrics_path = run / "metrics.jsonl"
-    checkpoint_path = run / "checkpoint.dmpw"
-    for required in (manifest_path, metrics_path, checkpoint_path):
-        if not required.exists():
-            raise DataError(f"missing run artifact: {required}")
-    descriptor = _manifest_corpus(manifest_path)
-    records = [json.loads(line) for line in metrics_path.read_text().splitlines() if line]
-    epochs = [r for r in records if "summary" not in r]
+    # each reader names its file when it is missing or corrupt; all three
+    # are read before anything is written
+    corpus = _manifest_corpus(run / "manifest.json")
+    trace = _cluster_trace(run / "metrics.jsonl")
+    params = encoder.load_params(run / "checkpoint.dmpw")
     trace_path = run / "cluster_trace.tsv"
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write("epoch\tclusters_drone\tclusters_sat\n")
-        for r in epochs:
-            fh.write(f"{r['epoch']}\t{r['clusters_drone']}\t{r['clusters_sat']}\n")
-    corpus = _resolve_corpus(descriptor)
-    params = encoder.load_params(checkpoint_path)
+        for epoch, drone, sat in trace:
+            fh.write(f"{epoch}\t{drone}\t{sat}\n")
     emb_d, _ = encoder.forward(params, corpus.drone_raw)
     emb_s, _ = encoder.forward(params, corpus.sat_raw)
     gt_d, gt_s = corpus.ground_truth()

@@ -14,9 +14,6 @@ import numpy as np
 from . import kernels
 from .numcore import as_matrix
 
-DRONE = "drone"
-SATELLITE = "satellite"
-
 
 @dataclass
 class ClusterMemory:

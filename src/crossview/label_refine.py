@@ -44,10 +44,6 @@ class RefinedLabels:
     scores: np.ndarray
     hard: np.ndarray
 
-    @property
-    def num_classes(self) -> int:
-        return self.scores.shape[1]
-
 
 def perturb(features, noise_std: float, rng: Rng) -> np.ndarray:
     """Add elementwise Gaussian noise, then renormalize rows."""
@@ -73,11 +69,7 @@ def rank_label_lists(sat_feats, drone_feats, drone_labels: PseudoLabels, depth: 
     if depth > gallery.size:
         raise ValueError(f"rank depth {depth} exceeds gallery size {gallery.size}")
     sims = pairwise_sim(sat_feats, np.asarray(drone_feats)[gallery])
-    out = np.empty((sims.shape[0], depth), dtype=np.int64)
-    labels = drone_labels.labels[gallery]
-    for m in range(sims.shape[0]):
-        out[m] = labels[top_k_indices(sims[m], depth)]
-    return out
+    return drone_labels.labels[gallery][top_k_indices(sims, depth)]
 
 
 def consistency_vote(list_orig, list_pert) -> np.ndarray:
@@ -88,21 +80,19 @@ def consistency_vote(list_orig, list_pert) -> np.ndarray:
     list_pert = np.asarray(list_pert, dtype=np.int64)
     if list_orig.shape != list_pert.shape:
         raise ValueError("ranked label lists must have matching shapes")
-    m, _ = list_orig.shape
-    refined = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        labels = np.unique(np.concatenate([list_orig[i], list_pert[i]]))
-        best_label = -1
-        best_count = 0
-        for lab in labels:
-            count = min(
-                int(np.sum(list_orig[i] == lab)), int(np.sum(list_pert[i] == lab))
-            )
-            if count > best_count:
-                best_count = count
-                best_label = int(lab)
-        refined[i] = best_label if best_count > 0 else int(list_orig[i, 0])
-    return refined
+    m, depth = list_orig.shape
+    if m == 0:
+        return np.empty(0, dtype=np.int64)
+    # number the labels 0..u-1 in ascending order, so any integer ids work
+    values, codes = np.unique(np.stack([list_orig, list_pert]), return_inverse=True)
+    u = values.size
+    # counts[v, i, c]: how often label c occurs in row i of list v
+    slots = np.arange(2 * m).reshape(2, m, 1) * u + codes.reshape(2, m, depth)
+    counts = np.bincount(slots.ravel(), minlength=2 * m * u).reshape(2, m, u)
+    agree = counts.min(axis=0)
+    best = agree.argmax(axis=1)  # the first maximum is the smallest label
+    agreed = agree[np.arange(m), best] > 0
+    return np.where(agreed, values[best], list_orig[:, 0])
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -131,8 +121,8 @@ def smooth_labels(sat_feats, sat_feats_pert, refined_one_hot, keep: int = 5) -> 
         warnings.warn(f"smoothing keep clamped from {keep} to {m} rows", stacklevel=2)
         keep = m
     mask = np.zeros_like(combined)
-    for i in range(m):
-        mask[i, top_k_indices(combined[i], keep)] = 1.0
+    if m:
+        np.put_along_axis(mask, top_k_indices(combined, keep), 1.0, axis=1)
     scores = mask @ refined_one_hot
     hard = scores.argmax(axis=1).astype(np.int64)
     return RefinedLabels(scores=scores, hard=hard)

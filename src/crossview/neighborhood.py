@@ -13,7 +13,9 @@ memories:
 
 For intra-view directions the query's own memory row is excluded from
 every candidate pool before selection; otherwise it would dominate them
-with similarity 1.
+with similarity 1. Refined pseudo-labels enter as one boolean mask
+(``forced_s``) of drone rows force-included into the satellite queries'
+cross-view threshold sets; no other set is ever forced.
 
 Training calls ``neighborhood_total``, which scores a whole minibatch per
 direction: one batch x memory similarity product, then the three sets as
@@ -108,15 +110,16 @@ def _pair_log_softmax(rows, z, b):
     return logp, np.exp(logp), counts
 
 
-def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own, extra):
+def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own, forced):
     """Alignment + mutual-information + consistency losses of one direction,
     for every query of a batch at once.
 
     own[i] >= 0 excludes memory row own[i] from query i's candidate pools;
-    extra[i], when given, lists memory rows force-included into query i's
-    threshold set. Returns per-query loss values and query gradients; the
-    selections and formulas are those of the per-query functions in
-    ``tests/reference.py``.
+    forced, when given, is a batch x memory boolean mask whose true entries
+    join the threshold sets. Only the cross-view direction gets a mask, and
+    there own is all -1, so forcing never re-admits an excluded row.
+    Returns per-query loss values and query gradients; the selections and
+    formulas are those of the per-query functions in ``tests/reference.py``.
 
     After the one batch x memory similarity product, only the selected
     (query, row) pairs are scored. A query's expanded set is every row above
@@ -138,12 +141,8 @@ def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own
     sims[selves, own[selves]] = -np.inf
 
     omega = sims > weights.threshold_ratio * sims.max(axis=1, keepdims=True)
-    if extra is not None:
-        sizes = [0 if forced is None else len(forced) for forced in extra]
-        if sum(sizes):
-            forced = np.concatenate([f for f, size in zip(extra, sizes) if size])
-            omega[np.repeat(np.arange(b), sizes), forced] = True
-        omega[selves, own[selves]] = False
+    if forced is not None:
+        omega |= forced
 
     k_expanded = weights.k_expanded
     pool = n - (own >= 0)
@@ -215,18 +214,17 @@ def neighborhood_total(
     mem_d: InstanceMemory,
     mem_s: InstanceMemory,
     weights: NeighborWeights,
-    extra_cross_d=None,
-    extra_cross_s=None,
+    forced_s=None,
 ) -> NeighborhoodLoss:
     """Sum of the four directional losses, each batch-averaged.
 
     drone_indices / sat_indices are each query's own row in its view's
     instance memory (used for intra-view self-exclusion); a negative index
     marks a query that is not a memory row, so nothing is excluded.
-    extra_cross_d[i] optionally lists satellite rows force-included into
-    drone query i's cross-view threshold set (and symmetrically for
-    extra_cross_s), which is how refined pseudo-labels feed back into
-    training.
+    forced_s, when given, is a (satellite queries x drone memory rows)
+    boolean mask: a true entry [i, u] force-includes drone row u into
+    satellite query i's cross-view threshold set, which is how refined
+    pseudo-labels feed back into training.
     """
     weights.validate()
     drone_queries = as_matrix(drone_queries, "drone queries")
@@ -236,15 +234,15 @@ def neighborhood_total(
     gd = np.zeros_like(drone_queries)
     gs = np.zeros_like(sat_queries)
     total = 0.0
-    for queries, own, grads, intra, cross, extra in (
-        (drone_queries, drone_indices, gd, mem_d, mem_s, extra_cross_d),
-        (sat_queries, sat_indices, gs, mem_s, mem_d, extra_cross_s),
+    for queries, own, grads, intra, cross, forced in (
+        (drone_queries, drone_indices, gd, mem_d, mem_s, None),
+        (sat_queries, sat_indices, gs, mem_s, mem_d, forced_s),
     ):
         b = queries.shape[0]
         if b == 0:
             continue
         v_intra, g_intra = _direction_batch(queries, intra, weights, own, None)
-        v_cross, g_cross = _direction_batch(queries, cross, weights, np.full(b, -1), extra)
+        v_cross, g_cross = _direction_batch(queries, cross, weights, np.full(b, -1), forced)
         total += float((v_intra + v_cross).sum()) / b
         grads[:] = (g_intra + g_cross) / b
     return NeighborhoodLoss(value=float(total), drone_grads=gd, sat_grads=gs)

@@ -66,12 +66,12 @@ def pairwise_sim(A, B) -> np.ndarray:
 
 
 def top_k_indices(v, k: int) -> np.ndarray:
-    """Indices of the k largest entries, descending value, ties by lower index."""
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if not 1 <= k <= v.size:
-        raise ValueError(f"k={k} out of range for length {v.size}")
-    order = np.argsort(-v, kind="stable")
-    return order[:k].astype(np.int64)
+    """Indices of the k largest entries along the last axis (of each row on
+    its own, for a matrix), descending value, ties by lower index."""
+    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
+    if not 1 <= k <= v.shape[-1]:
+        raise ValueError(f"k={k} out of range for length {v.shape[-1]}")
+    return np.argsort(-v, axis=-1, kind="stable")[..., :k].astype(np.int64)
 
 
 def sigmoid(x):

@@ -12,7 +12,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -203,7 +203,7 @@ class EpochMemories:
     inst_d: InstanceMemory | None = None
     inst_s: InstanceMemory | None = None
     refined: RefinedLabels | None = None
-    drone_rows_by_label: dict = field(default_factory=dict)
+    labels_d: PseudoLabels | None = None  # the drone labels refinement voted on
 
 
 @dataclass
@@ -276,17 +276,13 @@ def total_loss(batch: Batch, memories: EpochMemories, config: TrainConfig) -> To
             consistency_weight=config.consistency_weight,
             temperature=config.temperature,
         )
-        extra_s = None
+        forced_s = None
         if memories.refined is not None:
             # refined labels live on satellite instances, so only satellite
             # queries get force-included partners (their refined drone
             # cluster's members); the reverse direction would drag every
             # drone cluster toward the satellite cloud and collapse it
-            hard = memories.refined.hard
-            extra_s = [
-                memories.drone_rows_by_label.get(int(hard[int(row)]))
-                for row in batch.sat_rows
-            ]
+            forced_s = memories.refined.hard[batch.sat_rows][:, None] == memories.labels_d.labels
         nbr = neighborhood_total(
             batch.drone_emb,
             batch.drone_rows,
@@ -295,7 +291,7 @@ def total_loss(batch: Batch, memories: EpochMemories, config: TrainConfig) -> To
             memories.inst_d,
             memories.inst_s,
             weights,
-            extra_cross_s=extra_s,
+            forced_s=forced_s,
         )
         neighbor_value = nbr.value
         value += config.coeff_neighbor * neighbor_value
@@ -372,10 +368,7 @@ class Trainer:
                 seed=(cfg.seed * 1_000_003 + self.epoch) & 0xFFFFFFFFFFFFFFFF,
             )
             memories.refined = refine_labels(emb_s, emb_d, labels_d, refine_cfg)
-            for label in range(labels_d.num_clusters):
-                members = labels_d.members(label)
-                if members.size:
-                    memories.drone_rows_by_label[label] = members
+            memories.labels_d = labels_d
         return memories
 
     def _epoch_lr(self) -> float:

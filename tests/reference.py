@@ -1,8 +1,10 @@
 """Single-row and per-query references that the tests check crossview's
 batch functions against: ``cosine_sim`` for ``numcore.pairwise_sim``,
 ``bank_contrastive`` for ``cluster_memory.bank_contrastive_rows``, the
-per-query neighbourhood sets and losses for ``neighborhood_total``, and
-the full-ranking Recall@K and AP for ``metrics.evaluate_retrieval``.
+per-query neighbourhood sets and losses (summed by ``reference_total``)
+for ``neighborhood_total``, the scalar refinement (``reference_vote``,
+``reference_pipeline``) for ``label_refine``, and the full-ranking
+Recall@K and AP for ``metrics.evaluate_retrieval``.
 Below them sit small helpers that only the tests need."""
 
 import math
@@ -168,6 +170,104 @@ def mutual_info_loss(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]
         raise ValueError("strict neighborhood is empty")
     loss, grad = _divergence(q, mem, picked)
     return -loss, -grad
+
+
+def reference_total(
+    drone_queries, drone_indices, sat_queries, sat_indices, mem_d, mem_s, weights,
+    partners_s=None,
+):
+    """neighborhood_total recomputed one query at a time from the per-query
+    sets and losses; returns the value and both views' gradients.
+
+    partners_s[i], when given and not None, lists the drone rows forced into
+    satellite query i's cross-view threshold set (repeats allowed): the
+    per-query form of neighborhood_total's forced_s mask.
+    """
+    w = weights
+    value = 0.0
+    grads = []
+    for queries, own, intra, cross, partners in (
+        (drone_queries, drone_indices, mem_d, mem_s, None),
+        (sat_queries, sat_indices, mem_s, mem_d, partners_s),
+    ):
+        b = queries.shape[0]
+        g = np.zeros_like(queries)
+        for i, q in enumerate(queries):
+            exclude = int(own[i]) if own[i] >= 0 else None
+            forced = None if partners is None else partners[i]
+            for mem, skip, extra in ((intra, exclude, None), (cross, None, forced)):
+                k2 = min(w.k_expanded, mem.size - (skip is not None))
+                omega = threshold_neighborhood(q, mem, w.threshold_ratio, exclude=skip)
+                if extra is not None:
+                    omega = np.union1d(omega, np.asarray(extra, dtype=np.int64))
+                strict, wide = topk_neighborhoods(q, mem, min(w.k_strict, k2), k2, exclude=skip)
+                for (v, dv), weight in (
+                    (alignment_loss(q, mem, omega, w.temperature), 1.0),
+                    (mutual_info_loss(q, mem, strict), w.mutual_weight),
+                    (consistency_loss(q, mem, wide), w.consistency_weight),
+                ):
+                    value += weight * v / b
+                    g[i] += weight * dv / b
+        grads.append(g)
+    return value, grads[0], grads[1]
+
+
+def reference_vote(list_orig, list_pert) -> list:
+    """consistency_vote one row at a time: the label whose multiset
+    agreement between the two lists is largest, ties to the smaller id,
+    else the original list's first label."""
+    voted = []
+    for lo, lp in zip(list_orig, list_pert):
+        lo, lp = [int(x) for x in lo], [int(x) for x in lp]
+        counts = {lab: min(lo.count(lab), lp.count(lab)) for lab in set(lo) | set(lp)}
+        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
+        voted.append(best[0] if best[1] > 0 else lo[0])
+    return voted
+
+
+def reference_pipeline(sat, drone, drone_labels, depth, keep, noise_std, seed):
+    """Step-by-step scalar re-implementation of the whole refinement."""
+
+    def cos(a, b):
+        return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+    rng = Rng(seed)
+    if noise_std == 0.0:
+        sat_p, drone_p = sat.copy(), drone.copy()
+    else:
+        sat_p = sat + rng.derive(1).normal(sat.shape, scale=noise_std)
+        sat_p = sat_p / np.linalg.norm(sat_p, axis=1, keepdims=True)
+        drone_p = drone + rng.derive(2).normal(drone.shape, scale=noise_std)
+        drone_p = drone_p / np.linalg.norm(drone_p, axis=1, keepdims=True)
+    gallery = [i for i in range(len(drone)) if drone_labels.labels[i] != NOISE]
+
+    def ranked_labels(s_feats, d_feats):
+        lists = []
+        for m in range(len(s_feats)):
+            sims = [(-cos(s_feats[m], d_feats[g]), g) for g in gallery]
+            order = sorted(range(len(gallery)), key=lambda t: (sims[t][0], gallery[t]))
+            lists.append(
+                [int(drone_labels.labels[gallery[t]]) for t in order[:depth]]
+            )
+        return lists
+
+    voted = reference_vote(ranked_labels(sat, drone), ranked_labels(sat_p, drone_p))
+    C = drone_labels.num_clusters
+    Y = np.zeros((len(sat), C))
+    for m, lab in enumerate(voted):
+        Y[m, lab] = 1.0
+    P = np.zeros((len(sat), len(sat)))
+    for a in range(len(sat)):
+        for b in range(len(sat)):
+            P[a, b] = cos(sat[a], sat[b]) + cos(sat_p[a], sat_p[b])
+    mask = np.zeros_like(P)
+    kk = min(keep, len(sat))
+    for a in range(len(sat)):
+        order = sorted(range(len(sat)), key=lambda b: (-P[a, b], b))[:kk]
+        mask[a, order] = 1.0
+    scores = mask @ Y
+    hard = np.array([int(row.argmax()) for row in scores])
+    return scores, hard
 
 
 def ap_from_ranked_relevance(relevant) -> float:

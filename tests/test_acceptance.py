@@ -19,7 +19,6 @@ import pytest
 
 from conftest import finite_difference, rel_error, unit_rows
 from test_clustering import partition_signature, reference_dbscan
-from test_label_refine import reference_pipeline
 from test_metrics import brute_force_map, brute_force_recall
 
 from crossview import encoder
@@ -37,6 +36,7 @@ from reference import (
     flatten_grads,
     mutual_info_loss,
     noise_count,
+    reference_pipeline,
     threshold_neighborhood,
     topk_neighborhoods,
     uniform_divergence,

@@ -63,6 +63,19 @@ def fake_run_dir(tmp_path, manifest_text):
     return run
 
 
+# manifest corpus entries that name no loadable corpus
+BAD_CORPUS_ENTRIES = {
+    "empty": {},
+    "files without paths": {"kind": "files"},
+    "unknown synthetic key": {"kind": "synthetic", "warp_factor": 9},
+    "text count": {"kind": "synthetic", "num_locations": "x"},
+    "fractional count": {"kind": "synthetic", "num_locations": 2.5},
+    "text flag": {"kind": "synthetic", "shared_view_maps": "no"},
+    "zero count": {"kind": "synthetic", "num_locations": 0},
+}
+SMALL_CORPUS = {"kind": "synthetic", "num_locations": 4, "latent_dim": 4, "input_dim": 8}
+
+
 class TestGenerate:
     def test_writes_loadable_files(self, tmp_path):
         assert run_cli([
@@ -153,6 +166,12 @@ class TestTrain:
         missing = tmp_path / "nowhere.cfg"
         assert run_cli(tiny_train_args(tmp_path / "r", extra=["--config", str(missing)])) == 2
         assert str(missing) in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "latin1.cfg"
+        cfg_file.write_bytes(b"epochs = 1  # caf\xe9\n")
+        assert run_cli(tiny_train_args(tmp_path / "r", extra=["--config", str(cfg_file)])) == 2
+        assert str(cfg_file) in capsys.readouterr().err
 
     def test_config_file_of_defaults_resolves_to_defaults(self, tmp_path):
         cfg_file = tmp_path / "defaults.cfg"
@@ -309,6 +328,12 @@ class TestDiag:
             tiny_train_args(tmp_path / "r", corpus_dir=nowhere),
         ):
             assert run_cli(argv) == 3
+        for name in ("metrics.jsonl", "checkpoint.dmpw"):
+            (tmp_path / f"no-{name}").mkdir()
+            run = fake_run_dir(tmp_path / f"no-{name}", json.dumps({"corpus": SMALL_CORPUS}))
+            (run / name).unlink()
+            assert run_cli(["diag", "--run", str(run)]) == 3
+            assert not (run / "cluster_trace.tsv").exists()
 
     def test_invalid_manifest_exit_3(self, tmp_path):
         assert run_cli(["diag", "--run", str(fake_run_dir(tmp_path, "{"))]) == 3
@@ -317,6 +342,18 @@ class TestDiag:
         run = fake_run_dir(tmp_path, '{"command": "generate"}')
         assert run_cli(["diag", "--run", str(run)]) == 3
         assert str(run / "manifest.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metrics", [
+        b"{not json\n",
+        b'{"epoch": 0, "clusters_drone": 3, "clusters_sat": 2}\n\xff\n',
+        b'{"epoch": 0, "clusters_sat": 2}\n',
+        b"[1, 2]\n",
+    ], ids=["not JSON", "not UTF-8", "no clusters_drone", "not a record"])
+    def test_corrupt_metrics_exit_3(self, tmp_path, capsys, metrics):
+        run = fake_run_dir(tmp_path, json.dumps({"corpus": SMALL_CORPUS}))
+        (run / "metrics.jsonl").write_bytes(metrics)
+        assert run_cli(["diag", "--run", str(run)]) == 3
+        assert str(run / "metrics.jsonl") in capsys.readouterr().err
 
     def test_separable_corpus_orders_similarity_means(self, tmp_path):
         # after training on a noiseless shared-map corpus, the positive-pair
@@ -337,3 +374,21 @@ class TestDiag:
             pos_n += int(pos)
             neg_n += int(neg)
         assert pos_sum / pos_n > neg_sum / neg_n
+
+
+@pytest.mark.parametrize("command", ["eval", "diag"])
+@pytest.mark.parametrize("entry", BAD_CORPUS_ENTRIES.values(), ids=BAD_CORPUS_ENTRIES.keys())
+def test_bad_corpus_entry_exit_3(tmp_path, capsys, entry, command):
+    run = fake_run_dir(tmp_path, json.dumps({"corpus": entry}))
+    argv = {
+        "eval": ["eval", "--checkpoint", str(run / "checkpoint.dmpw"), "--run", str(run)],
+        "diag": ["diag", "--run", str(run)],
+    }[command]
+    assert run_cli(argv) == 3
+    assert str(run / "manifest.json") in capsys.readouterr().err
+
+
+def test_small_corpus_entry_is_valid(tmp_path):
+    # the corrupt-metrics cases above fail on the metrics file alone
+    run = fake_run_dir(tmp_path, json.dumps({"corpus": SMALL_CORPUS}))
+    assert run_cli(["diag", "--run", str(run)]) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import unit_rows
 from crossview.clustering import NOISE, PseudoLabels
@@ -14,59 +16,7 @@ from crossview.label_refine import (
     smooth_labels,
 )
 from crossview.numcore import Rng
-
-
-def reference_pipeline(sat, drone, drone_labels, depth, keep, noise_std, seed):
-    """Step-by-step scalar re-implementation of the whole refinement."""
-
-    def cos(a, b):
-        return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-    rng = Rng(seed)
-    if noise_std == 0.0:
-        sat_p, drone_p = sat.copy(), drone.copy()
-    else:
-        sat_p = sat + rng.derive(1).normal(sat.shape, scale=noise_std)
-        sat_p = sat_p / np.linalg.norm(sat_p, axis=1, keepdims=True)
-        drone_p = drone + rng.derive(2).normal(drone.shape, scale=noise_std)
-        drone_p = drone_p / np.linalg.norm(drone_p, axis=1, keepdims=True)
-    gallery = [i for i in range(len(drone)) if drone_labels.labels[i] != NOISE]
-
-    def ranked_labels(s_feats, d_feats):
-        lists = []
-        for m in range(len(s_feats)):
-            sims = [(-cos(s_feats[m], d_feats[g]), g) for g in gallery]
-            order = sorted(range(len(gallery)), key=lambda t: (sims[t][0], gallery[t]))
-            lists.append(
-                [int(drone_labels.labels[gallery[t]]) for t in order[:depth]]
-            )
-        return lists
-
-    lo = ranked_labels(sat, drone)
-    lp = ranked_labels(sat_p, drone_p)
-    voted = []
-    for m in range(len(sat)):
-        counts = {}
-        for lab in set(lo[m]) | set(lp[m]):
-            counts[lab] = min(lo[m].count(lab), lp[m].count(lab))
-        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]), default=(None, 0))
-        voted.append(best[0] if best[1] > 0 else lo[m][0])
-    C = drone_labels.num_clusters
-    Y = np.zeros((len(sat), C))
-    for m, lab in enumerate(voted):
-        Y[m, lab] = 1.0
-    P = np.zeros((len(sat), len(sat)))
-    for a in range(len(sat)):
-        for b in range(len(sat)):
-            P[a, b] = cos(sat[a], sat[b]) + cos(sat_p[a], sat_p[b])
-    mask = np.zeros_like(P)
-    kk = min(keep, len(sat))
-    for a in range(len(sat)):
-        order = sorted(range(len(sat)), key=lambda b: (-P[a, b], b))[:kk]
-        mask[a, order] = 1.0
-    scores = mask @ Y
-    hard = np.array([int(row.argmax()) for row in scores])
-    return scores, hard
+from reference import reference_pipeline, reference_vote
 
 
 class TestPerturb:
@@ -155,6 +105,21 @@ class TestVote:
         # label 7 agrees twice, label 3 once
         got = consistency_vote([[7, 3, 7]], [[7, 7, 5]])
         np.testing.assert_array_equal(got, [7])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_vote(self, data):
+        # a few distinct ids per draw, so rows agree often; the ids may be
+        # negative, far apart or beyond any cluster count
+        ids = data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=5, unique=True))
+        m = data.draw(st.integers(1, 6), label="rows")
+        depth = data.draw(st.integers(1, 6), label="depth")
+        row = st.lists(st.sampled_from(ids), min_size=depth, max_size=depth)
+        lists = st.lists(row, min_size=m, max_size=m)
+        list_orig, list_pert = data.draw(lists), data.draw(lists)
+        got = consistency_vote(list_orig, list_pert)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, reference_vote(list_orig, list_pert))
 
 
 class TestSmooth:

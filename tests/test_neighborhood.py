@@ -9,6 +9,7 @@ from reference import (
     alignment_loss,
     consistency_loss,
     mutual_info_loss,
+    reference_total,
     threshold_neighborhood,
     topk_neighborhoods,
     uniform_divergence,
@@ -33,44 +34,23 @@ def axis_memory(ids, d=4, view="drone"):
     return build_instance_memory(np.vstack([np.eye(d), -np.eye(d)])[ids], view)
 
 
-def reference_total(
-    drone_queries, drone_indices, sat_queries, sat_indices, mem_d, mem_s, weights,
-    extra_cross_d=None, extra_cross_s=None,
-):
-    """neighborhood_total recomputed one query at a time from the per-query
-    sets and losses; returns the value and both views' gradients."""
-    w = weights
-    value = 0.0
-    grads = []
-    for queries, own, intra, cross, extra in (
-        (drone_queries, drone_indices, mem_d, mem_s, extra_cross_d),
-        (sat_queries, sat_indices, mem_s, mem_d, extra_cross_s),
-    ):
-        b = queries.shape[0]
-        g = np.zeros_like(queries)
-        for i, q in enumerate(queries):
-            exclude = int(own[i]) if own[i] >= 0 else None
-            forced = None if extra is None else extra[i]
-            for mem, skip, partners in ((intra, exclude, None), (cross, None, forced)):
-                k2 = min(w.k_expanded, mem.size - (skip is not None))
-                omega = threshold_neighborhood(q, mem, w.threshold_ratio, exclude=skip)
-                if partners is not None:
-                    omega = np.union1d(omega, np.asarray(partners, dtype=np.int64))
-                strict, wide = topk_neighborhoods(q, mem, min(w.k_strict, k2), k2, exclude=skip)
-                for (v, dv), weight in (
-                    (alignment_loss(q, mem, omega, w.temperature), 1.0),
-                    (mutual_info_loss(q, mem, strict), w.mutual_weight),
-                    (consistency_loss(q, mem, wide), w.consistency_weight),
-                ):
-                    value += weight * v / b
-                    g[i] += weight * dv / b
-        grads.append(g)
-    return value, grads[0], grads[1]
+def partner_mask(partners, rows):
+    """neighborhood_total's forced_s mask for per-query partner lists."""
+    if partners is None:
+        return None
+    mask = np.zeros((len(partners), rows), dtype=bool)
+    for i, listed in enumerate(partners):
+        mask[i, np.asarray([] if listed is None else listed, dtype=np.int64)] = True
+    return mask
 
 
 def assert_matches_reference(case):
-    out = neighborhood_total(**case)
-    value, gd, gs = reference_total(**case)
+    """neighborhood_total against reference_total; the case's partners_s
+    lists go to the reference as they are and to the batch path as a mask."""
+    case = dict(case)
+    partners = case.pop("partners_s", None)
+    out = neighborhood_total(**case, forced_s=partner_mask(partners, case["mem_d"].size))
+    value, gd, gs = reference_total(**case, partners_s=partners)
     assert out.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(out.drone_grads, gd, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(out.sat_grads, gs, rtol=1e-12, atol=1e-12)
@@ -332,19 +312,17 @@ class TestCombination:
         assert out.value == pytest.approx(half.value, abs=1e-12)
 
     def test_forced_cross_inclusion_changes_set(self, np_rng):
-        mem_d, mem_s, qd, rd, qs, rs = self.make_batches(np_rng, bd=1, bs=0)
+        mem_d, mem_s, qd, rd, qs, rs = self.make_batches(np_rng, bd=0, bs=1)
         w = NeighborWeights(
             threshold_ratio=0.95, k_strict=1, k_expanded=2, mutual_weight=0.0,
             consistency_weight=0.0, temperature=0.2,
         )
         plain = neighborhood_total(qd, rd, qs, rs, mem_d, mem_s, w)
-        everything = [np.arange(mem_s.size)]
-        forced = neighborhood_total(
-            qd, rd, qs, rs, mem_d, mem_s, w, extra_cross_d=everything
-        )
-        om = threshold_neighborhood(qd[0], mem_s, 0.95)
-        if om.size < mem_s.size:
-            assert forced.value != pytest.approx(plain.value, abs=1e-9)
+        everything = np.ones((1, mem_d.size), dtype=bool)
+        forced = neighborhood_total(qd, rd, qs, rs, mem_d, mem_s, w, forced_s=everything)
+        om = threshold_neighborhood(qs[0], mem_d, 0.95)
+        assert om.size < mem_d.size
+        assert forced.value != pytest.approx(plain.value, abs=1e-9)
 
     def test_gradients_match_finite_differences(self, np_rng):
         # selections are recomputed inside the probe, so this exercises the
@@ -449,8 +427,7 @@ def reference_case(kind):
         om = threshold_neighborhood(case["sat_queries"][0], case["mem_d"], w.threshold_ratio)
         outside = [u for u in range(case["mem_d"].size) if u not in om.tolist()][0]
         # one partner already in the threshold set, one outside it, both repeated
-        case["extra_cross_s"] = [np.array([om[0], outside, om[0], outside]), None]
-        case["extra_cross_d"] = [[1, 1], None, []]
+        case["partners_s"] = [np.array([om[0], outside, om[0], outside]), None]
     elif kind == "no threshold set":
         # every similarity is at most 0, so no row clears ratio * max
         case.update(
@@ -514,8 +491,8 @@ def test_tie_heavy_batches_match_reference(data):
         temperature=data.draw(st.sampled_from([0.1, 0.5, 1.0])),
     )
     forced = st.none() | st.lists(st.integers(0, n - 1), max_size=4)
-    extra_s = data.draw(st.none() | st.lists(forced, min_size=len(qs), max_size=len(qs)))
+    partners = data.draw(st.none() | st.lists(forced, min_size=len(qs), max_size=len(qs)))
     assert_matches_reference(dict(
         drone_queries=qd, drone_indices=rd, sat_queries=qs, sat_indices=rs,
-        mem_d=mem_d, mem_s=mem_s, weights=w, extra_cross_s=extra_s,
+        mem_d=mem_d, mem_s=mem_s, weights=w, partners_s=partners,
     ))

@@ -148,6 +148,23 @@ class TestTopK:
         b = top_k_indices(values, k)
         np.testing.assert_array_equal(a, b)
 
+    @given(st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_rows_match_per_row_calls(self, data):
+        # entries from a few values, signed zeros included, so rows tie often
+        rows = data.draw(st.integers(1, 6), label="rows")
+        cols = data.draw(st.integers(1, 8), label="cols")
+        entry = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+        row = st.lists(entry, min_size=cols, max_size=cols)
+        matrix = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+        k = data.draw(st.integers(1, cols), label="k")
+        got = top_k_indices(matrix, k)
+        assert got.shape == (rows, k) and got.dtype == np.int64
+        for i in range(rows):
+            np.testing.assert_array_equal(got[i], top_k_indices(matrix[i], k))
+            expect = sorted(range(cols), key=lambda j: (-matrix[i, j], j))[:k]
+            np.testing.assert_array_equal(got[i], expect)
+
 
 class TestSigmoid:
     def test_zero(self):

@@ -1,13 +1,15 @@
 """Every crossview name the benchmark in ``perfbench/`` reads still resolves,
 so a deletion that would break a traced benchmark run fails here first."""
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from crossview import kernels
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -33,3 +35,28 @@ def test_workloads_import(perfbench_on_path):
     import workloads
 
     assert workloads.WORKLOADS
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads, re-exports through
+    ``__all__`` counting as a read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_tracer_hooks(perfbench_on_path):
+    # an import nothing reads may stay only while perfbench/tracer.py wraps it there
+    import tracer
+
+    hooked = {(module.__name__.split(".")[-1], attr) for module, attr, _, _ in tracer.layer_hooks()}
+    modules = sorted((ROOT / "src" / "crossview").glob("*.py"))
+    leftovers = [(path.stem, name) for path in modules for name in unused_imports(path)]
+    assert [pair for pair in leftovers if pair not in hooked] == []

@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import unit_rows
 from crossview import encoder
+from crossview.cluster_memory import init_memory
 from crossview.clustering import (
     DbscanParams,
     PseudoLabels,
@@ -14,15 +16,21 @@ from crossview.clustering import (
 )
 from crossview.datagen import SyntheticSpec, generate
 from crossview.errors import ClusteringError, ConfigError
+from crossview.label_refine import RefinedLabels
+from crossview.neighborhood import NeighborWeights, build_instance_memory
 from crossview.numcore import Rng
 from crossview.training import (
     ABLATIONS,
+    Batch,
+    EpochMemories,
     TrainConfig,
     Trainer,
     sample_view_batch,
     summary_record,
+    total_loss,
     write_metrics,
 )
+from reference import reference_total
 
 
 def tiny_config(**overrides):
@@ -200,6 +208,55 @@ class TestEpoch:
         _, records = quiet_train(tiny_config(epochs=2, refine_start_epoch=1), corpus)
         assert records[0].refine_agreement is None
         assert records[1].refine_agreement is not None
+
+
+class TestRefinedPartners:
+    def test_neighbor_term_matches_reference_with_refined_members(self):
+        # with the base and dual terms off, total_loss returns the
+        # neighbourhood value and gradients alone; each satellite query's
+        # forced partners are every drone row of its refined cluster
+        rng = np.random.default_rng(11)
+        cfg = TrainConfig(
+            enable_dual=False, coeff_base=0.0, neighbor_threshold=0.9, k_strict=2,
+            k_expanded=4, mutual_weight=0.7, consistency_weight=1.3,
+        )
+        labels_d = PseudoLabels(labels=np.array([0, 0, 1, -1, 1, 2, 2, 2, 3, 1]), num_clusters=4)
+        hard = np.array([2, 1, 0, 3, 2, 1])
+        inst_d = build_instance_memory(unit_rows(rng, 10, 4), "drone")
+        inst_s = build_instance_memory(unit_rows(rng, 6, 4), "satellite")
+        memories = EpochMemories(
+            mem_d=init_memory(unit_rows(rng, 4, 4), "drone"),
+            mem_s=init_memory(unit_rows(rng, 3, 4), "satellite"),
+            inst_d=inst_d,
+            inst_s=inst_s,
+            refined=RefinedLabels(scores=np.eye(4)[hard], hard=hard),
+            labels_d=labels_d,
+        )
+        drone_rows, sat_rows = np.array([0, 4, 7]), np.array([1, 3, 3, 4])
+        batch = Batch(
+            drone_emb=inst_d.features[drone_rows] + 0.05 * rng.standard_normal((3, 4)),
+            drone_cluster_ids=np.array([0, 1, 2]),
+            drone_rows=drone_rows,
+            sat_emb=inst_s.features[sat_rows] + 0.05 * rng.standard_normal((4, 4)),
+            sat_cluster_ids=np.array([0, 2, 2, 1]),
+            sat_rows=sat_rows,
+        )
+        weights = NeighborWeights(
+            threshold_ratio=cfg.neighbor_threshold, k_strict=cfg.k_strict,
+            k_expanded=cfg.k_expanded, mutual_weight=cfg.mutual_weight,
+            consistency_weight=cfg.consistency_weight, temperature=cfg.temperature,
+        )
+        partners = [np.flatnonzero(labels_d.labels == hard[row]) for row in sat_rows]
+        value, gd, gs = reference_total(
+            batch.drone_emb, drone_rows, batch.sat_emb, sat_rows, inst_d, inst_s, weights,
+            partners_s=partners,
+        )
+        got = total_loss(batch, memories, cfg)
+        assert got.neighbor == pytest.approx(value, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(got.drone_grads, gd, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.sat_grads, gs, rtol=1e-12, atol=1e-12)
+        memories.refined = None
+        assert total_loss(batch, memories, cfg).neighbor != pytest.approx(value, abs=1e-9)
 
 
 class TestSatelliteClustering:
