@@ -152,7 +152,8 @@ def _spec_from_args(args) -> SyntheticSpec:
 
 def _corpus_descriptor(args) -> dict:
     if args.corpus_dir:
-        base = Path(args.corpus_dir)
+        # absolute, so that the run can be evaluated from any directory
+        base = Path(args.corpus_dir).resolve()
         return {
             "kind": "files",
             "drone": str(base / DRONE_FILE),

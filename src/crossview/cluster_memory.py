@@ -2,9 +2,12 @@
 contrastive objective.
 
 Loss values inside a minibatch are always computed against the bank state
-at minibatch start; the sequential per-query momentum updates are applied
-afterwards, in batch index order. Centroid banks are treated as constants
-when differentiating, so gradients flow only into the query embeddings.
+at minibatch start; the per-query momentum updates are applied afterwards.
+Each row takes its queries in batch index order, one update after another;
+``kernels.blend_chain`` applies the t-th update of every row in one step,
+which gives the same bits as one update at a time. Centroid banks are
+treated as constants when differentiating, so gradients flow only into
+the query embeddings.
 """
 
 from dataclasses import dataclass, field

@@ -14,6 +14,7 @@ from . import kernels
 from .numcore import as_matrix, l2_normalize_rows, pairwise_sim
 
 NOISE = -1
+BLOCK_ROWS = 64  # rows of the eps-graph built per similarity product
 
 
 @dataclass
@@ -45,8 +46,8 @@ class PseudoLabels:
             raise ValueError(
                 f"labels out of range [-1, {self.num_clusters - 1}]: min {lo}, max {hi}"
             )
-        present = np.unique(self.labels[self.labels >= 0])
-        if present.size != self.num_clusters:
+        # np.unique would import numpy.ma; labels are small non-negative ints
+        if np.count_nonzero(np.bincount(self.labels[self.labels >= 0])) != self.num_clusters:
             raise ValueError("every cluster id must have at least one member")
 
     def members(self, k: int) -> np.ndarray:
@@ -60,17 +61,21 @@ def dbscan(features, params: DbscanParams) -> PseudoLabels:
     """
     params.validate()
     features = as_matrix(features, "features")
-    if features.shape[0] < 1:
+    n = features.shape[0]
+    if n < 1:
         raise ValueError("dbscan needs at least one row")
-    dist = pairwise_sim(features, features)
-    np.subtract(1.0, dist, out=dist)  # in place: no second n x n matrix
-    adjacency = dist <= params.eps
-    neighbor_counts = adjacency.sum(axis=1)
-    core = neighbor_counts >= params.min_pts
-    rows, cols = np.nonzero(adjacency)
-    indptr = np.zeros(features.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=features.shape[0]), out=indptr[1:])
-    labels = kernels.expand_clusters(indptr, cols, core)
+    counts = np.empty(n, dtype=np.int64)
+    cols = []
+    # the eps-graph goes straight into CSR one block of rows at a time, so
+    # no n x n matrix is ever held
+    for start in range(0, n, BLOCK_ROWS):
+        adjacency = 1.0 - pairwise_sim(features[start : start + BLOCK_ROWS], features) <= params.eps
+        counts[start : start + BLOCK_ROWS] = adjacency.sum(axis=1)
+        cols.append(np.nonzero(adjacency)[1])
+    core = counts >= params.min_pts
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    labels = kernels.expand_clusters(indptr, np.concatenate(cols), core)
     num = int(labels.max(initial=NOISE)) + 1
     return PseudoLabels(labels=labels, num_clusters=num)
 
@@ -108,7 +113,7 @@ def collapse_replica_labels(labels: PseudoLabels, index_map, n_originals: int) -
     if np.any(first < 0):
         raise ValueError("index map does not cover every original row")
     collapsed = labels.labels[first]
-    present = np.unique(collapsed[collapsed >= 0])
+    present = np.flatnonzero(np.bincount(collapsed[collapsed >= 0]))
     # a label's rank among the sorted present ids is its new id
     out = np.where(collapsed >= 0, np.searchsorted(present, collapsed), NOISE)
     return PseudoLabels(labels=out, num_clusters=int(present.size))

@@ -4,8 +4,9 @@ long-term bank, and their weighted fusion used as contrastive targets.
 Update order inside a minibatch: the adaptive coefficient beta is computed
 from the long-term bank as it stood before any of this minibatch's
 updates, the short-term bank blends toward that same pre-update long-term
-state, then the long-term bank absorbs the queries one by one, and the
-fused bank is rebuilt from the refreshed pair.
+state, then each long-term row absorbs its queries one after another in
+batch order (``kernels.blend_chain``), and the fused bank is rebuilt from
+the refreshed pair.
 """
 
 from dataclasses import dataclass
@@ -101,9 +102,10 @@ def compute_beta(batch_queries, dm: DualMemory, cluster_ids) -> float:
 
 def update_short_term(dm: DualMemory, beta: float, clusters_in_batch) -> DualMemory:
     """Blend batch-present short-term rows toward the long-term bank."""
-    ids = np.unique(np.asarray(clusters_in_batch, dtype=np.int64))
+    ids = np.asarray(clusters_in_batch, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= dm.num_clusters):
         raise ValueError("cluster id out of range")
+    ids = np.flatnonzero(np.bincount(ids))  # sorted distinct ids
     blended = beta * dm.long_term[ids] + (1.0 - beta) * dm.short_term[ids]
     dm.short_term[ids] = l2_normalize_rows(blended)
     return dm

@@ -90,7 +90,7 @@ def _mean_ap(ranks: np.ndarray) -> float:
     if np.any(counts == 0):
         raise ValueError(f"query {np.flatnonzero(counts == 0)[0]} has no relevant gallery item")
     ap_values = np.empty(ranks.shape[0])
-    for r in np.unique(counts):
+    for r in np.flatnonzero(np.bincount(counts)):
         rows = np.flatnonzero(counts == r)
         ap_values[rows] = (np.arange(1, r + 1) / ranks[rows, :r]).mean(axis=1)
     return float(ap_values.mean())

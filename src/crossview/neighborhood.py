@@ -155,7 +155,8 @@ def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own
     k1 = np.minimum(weights.k_strict, k2)
     _check_ks(int(k1.min()), int(k2.min()), int(pool.min()))
     # each row's k2-th largest similarity; k2 differs per row when the clamp bites
-    cut = np.partition(sims, np.unique(n - k2), axis=1)[np.arange(b), n - k2][:, None]
+    kth = np.flatnonzero(np.bincount(n - k2))  # distinct, ascending
+    cut = np.partition(sims, kth, axis=1)[np.arange(b), n - k2][:, None]
     expanded = sims >= cut
     wide = np.flatnonzero(expanded)
     if wide.size > k2.sum():

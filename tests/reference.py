@@ -3,8 +3,9 @@ batch functions against: ``cosine_sim`` for ``numcore.pairwise_sim``,
 ``bank_contrastive`` for ``cluster_memory.bank_contrastive_rows``, the
 per-query neighbourhood sets and losses (summed by ``reference_total``)
 for ``neighborhood_total``, the scalar refinement (``reference_vote``,
-``reference_pipeline``) for ``label_refine``, and the full-ranking
-Recall@K and AP for ``metrics.evaluate_retrieval``.
+``reference_pipeline``) for ``label_refine``, the full-ranking
+Recall@K and AP for ``metrics.evaluate_retrieval``, and the one-update-
+at-a-time ``reference_blend_chain`` for ``kernels.blend_chain``.
 Below them sit small helpers that only the tests need."""
 
 import math
@@ -316,6 +317,20 @@ def evaluation_by_ranking(emb_d, emb_s, gt_d, gt_s) -> dict:
             out[f"r{k}_{prefix}"] = recall_by_ranking(q, g, qt, gt, k)
         out[f"ap_{prefix}"] = ap_by_ranking(q, g, qt, gt)
     return out
+
+
+def reference_blend_chain(bank, ids, queries, w_old: float, w_new: float, renorm: bool) -> None:
+    """``kernels.blend_chain`` as one update at a time, in batch order."""
+    for t, (k, q) in enumerate(zip(np.asarray(ids).tolist(), queries)):
+        row = w_old * bank[k] + w_new * q
+        if renorm:
+            nrm = np.sqrt(row @ row)
+            if nrm == 0.0:
+                raise DegenerateInputError(
+                    f"memory row {k} collapsed to zero norm at batch position {t}"
+                )
+            row = row / nrm
+        bank[k] = row
 
 
 def zero_grads(params: EncoderParams) -> EncoderGrads:

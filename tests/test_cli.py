@@ -223,6 +223,21 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["corpus"]["kind"] == "files"
 
+    def test_relative_corpus_dir_evaluates_from_elsewhere(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli([
+            "generate", "--out", "data", "--locations", "8", "--latent-dim", "4",
+            "--input-dim", "8", "--drone-per-loc", "4", "--noise-std", "0.02",
+        ])
+        assert run_cli(tiny_train_args("run", corpus_dir="data")) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["corpus"]["drone"] == str(tmp_path.resolve() / "data" / "drone.dmfv")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        argv = ["eval", "--checkpoint", "../run/checkpoint.dmpw", "--run", "../run"]
+        assert run_cli(argv) == 0
+
 
 class TestEval:
     def test_eval_reproduces_final_epoch_metrics(self, tmp_path):

@@ -106,6 +106,16 @@ class TestDbscan:
             want = partition_signature(ref_labels)
             assert got == want, f"trial {trial} diverged"
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 200])
+    def test_row_blocks_match_reference(self, np_rng, n):
+        # the eps-graph is built BLOCK_ROWS rows at a time; sizes on both
+        # sides of the block edges, and a last block of one row
+        feats = unit_rows(np_rng, n, 3)
+        mine = dbscan(feats, DbscanParams(eps=0.02, min_pts=3))
+        ref_labels, ref_count = reference_dbscan(feats, 0.02, 3)
+        np.testing.assert_array_equal(mine.labels, ref_labels)
+        assert mine.num_clusters == ref_count > 1
+
     def test_deterministic_relabeling(self, np_rng):
         feats = unit_rows(np_rng, 40, 4)
         params = DbscanParams(eps=0.3, min_pts=3)

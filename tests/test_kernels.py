@@ -1,11 +1,14 @@
 """The density-expansion and sequential-blend kernels on small inputs with
-known answers."""
+known answers, and the layered blend against its per-update reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossview import kernels
 from crossview.errors import DegenerateInputError
+from reference import reference_blend_chain
 
 
 class TestExpandClusters:
@@ -33,19 +36,58 @@ class TestExpandClusters:
         assert labels[1] != labels[3]
 
 
+def blend_both(bank, ids, queries, w_old, w_new, renorm):
+    """Run blend_chain and the reference on copies of ``bank``; return both
+    final banks and both collapse messages (None when none raised)."""
+    out = []
+    for blend in (kernels.blend_chain, reference_blend_chain):
+        got = bank.copy()
+        try:
+            blend(got, ids, queries, w_old, w_new, renorm)
+            message = None
+        except DegenerateInputError as exc:
+            message = str(exc)
+        out += [got, message]
+    return out
+
+
 class TestBlendChain:
-    def test_matches_per_update_loop(self, np_rng):
-        for renorm in (True, False):
-            bank = np_rng.standard_normal((6, 5))
-            expected = bank.copy()
-            ids = np_rng.integers(0, 6, size=30)
-            assert np.unique(ids).size < ids.size
-            queries = np_rng.standard_normal((30, 5))
-            kernels.blend_chain(bank, ids, queries, 0.2, 0.8, renorm)
-            for k, q in zip(ids, queries):
-                row = 0.2 * expected[k] + 0.8 * q
-                expected[k] = row / np.sqrt(row @ row) if renorm else row
-            np.testing.assert_array_equal(bank, expected)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from([7, 16, 32, 64]),
+        st.booleans(),
+        st.sampled_from([(0.2, 0.8), (0.3, 0.2), (1.0, 0.0)]),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_matches_per_update_loop(self, seed, sampler_shaped, dim, renorm, weights):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 40))
+        if sampler_shaped:
+            # p distinct clusters with z rows each, contiguous as the sampler draws them
+            p = int(rng.integers(1, rows + 1))
+            ids = np.repeat(rng.choice(rows, size=p, replace=False), int(rng.integers(1, 9)))
+        else:
+            ids = rng.integers(0, rows, size=int(rng.integers(0, 60)))
+        bank = rng.standard_normal((rows, dim))
+        queries = rng.standard_normal((ids.size, dim))
+        got, got_msg, want, want_msg = blend_both(bank, ids, queries, *weights, renorm)
+        assert got.tobytes() == want.tobytes()
+        assert got_msg == want_msg is None
+
+    def test_collapse_names_earliest_position_across_layers(self):
+        # row 0 collapses at position 2 (its third occurrence, layer 2) and
+        # row 1 at position 3 (its first, layer 0): position 2 is reported,
+        # with positions 0 and 1 applied and row 1 untouched
+        bank = np.array([[1.0, 0.0], [0.0, 1.0]])
+        ids = np.array([0, 0, 0, 1], dtype=np.int64)
+        queries = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, -1.0]])
+        before = bank.copy()
+        reference_blend_chain(before, ids[:2], queries[:2], 0.5, 0.5, True)
+        queries[2] = -before[0]
+        got, got_msg, want, want_msg = blend_both(bank, ids, queries, 0.5, 0.5, True)
+        assert got_msg == want_msg == "memory row 0 collapsed to zero norm at batch position 2"
+        assert got.tobytes() == want.tobytes() == before.tobytes()
 
     def test_zero_collapse_raises(self):
         # position 1 keeps row 0 at [1, 0]; position 2 cancels it exactly

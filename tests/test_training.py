@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +327,35 @@ class TestMetricsFile:
         best = max(records, key=lambda r: (r.r1_ds, -r.epoch))
         assert summary["best_epoch"] == best.epoch
         assert summary["r1_ds"] == best.r1_ds
+
+
+# one full-method epoch with refinement, then the CLI's evaluation
+FULL_EPOCH_AND_EVAL = """
+import sys, warnings
+from crossview.cli import _evaluation
+from crossview.datagen import SyntheticSpec, generate
+from crossview.training import TrainConfig, Trainer
+corpus = generate(SyntheticSpec(num_locations=10, latent_dim=6, input_dim=12, drone_per_loc=5,
+                                noise_std=0.02, seed=3))
+config = TrainConfig(epochs=1, p_classes=4, z_instances=2, replication=8, hidden_dim=16,
+                     embed_dim=8, k_strict=2, k_expanded=5, rank_depth=4, smoothing_keep=3,
+                     dbscan_eps=0.3, dbscan_min_pts=2, refine_start_epoch=0, seed=7)
+trainer = Trainer(config.with_ablation("full"), corpus)
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    trainer.train()
+_evaluation(trainer.params, corpus)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_epoch_and_evaluation_leave_numpy_ma_unimported():
+    # numpy.ma adds about 1.25 MB to the resident set; plain np.unique and
+    # np.setdiff1d import it on their first call
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FULL_EPOCH_AND_EVAL], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
