@@ -210,10 +210,18 @@ def _cluster_trace(path: Path) -> list[tuple]:
         raise DataError(f"{path}: not a metrics file: {exc!r}") from None
 
 
+def _make_out_dir(path) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{out}: cannot create output directory: {exc.strerror}") from None
+    return out
+
+
 def cmd_generate(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = _spec_from_args(args)
+    out = _make_out_dir(args.out)
     corpus = generate(spec)
     save_corpus(corpus, out / DRONE_FILE, out / SAT_FILE)
     manifest = {
@@ -229,9 +237,8 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config, sources = resolve_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     descriptor = _corpus_descriptor(args)
+    out = _make_out_dir(args.out)
     corpus = _resolve_corpus(descriptor)
     manifest = {
         "tool_version": __version__,
@@ -289,7 +296,10 @@ def cmd_eval(args) -> int:
     for key in SCORE_KEYS:
         print(f"{key} {results[key]:.6f}")
     if args.out:
-        Path(args.out).write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+        try:
+            Path(args.out).write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise ConfigError(f"{args.out}: cannot write results: {exc.strerror}") from None
     return 0
 
 

@@ -10,7 +10,7 @@ treated as constants when differentiating, so gradients flow only into
 the query embeddings.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,23 +21,22 @@ from .numcore import as_matrix
 @dataclass
 class ClusterMemory:
     centroids: np.ndarray
-    view: str
-    momentum: float = 0.2
-    renormalize: bool = True
+    momentum: float
+    renormalize: bool
 
     @property
     def num_clusters(self) -> int:
         return self.centroids.shape[0]
 
 
-def init_memory(centroids, view: str, momentum: float = 0.2, renormalize: bool = True) -> ClusterMemory:
+def init_memory(centroids, momentum: float = 0.2, renormalize: bool = True) -> ClusterMemory:
     """Snapshot this epoch's centroids into a fresh bank."""
     centroids = as_matrix(centroids, "centroids").copy()
     if centroids.shape[0] < 1:
         raise ValueError("cannot initialize memory with an empty centroid set")
     if not 0.0 <= momentum <= 1.0:
         raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
-    return ClusterMemory(centroids=centroids, view=view, momentum=momentum, renormalize=renormalize)
+    return ClusterMemory(centroids=centroids, momentum=momentum, renormalize=renormalize)
 
 
 def momentum_update_batch(mem: ClusterMemory, cluster_ids, queries) -> ClusterMemory:
@@ -85,7 +84,6 @@ class BatchLoss:
     value: float
     drone_grads: np.ndarray
     sat_grads: np.ndarray
-    per_view: tuple[float, float] = field(default=(0.0, 0.0))
 
 
 def batch_loss_cv(
@@ -116,9 +114,4 @@ def batch_loss_cv(
         losses, g = bank_contrastive_rows(queries, mem.centroids, ids, temperature)
         parts.append(float(losses.sum()) / queries.shape[0])
         grads.append(g / queries.shape[0])
-    return BatchLoss(
-        value=parts[0] + parts[1],
-        drone_grads=grads[0],
-        sat_grads=grads[1],
-        per_view=(parts[0], parts[1]),
-    )
+    return BatchLoss(value=parts[0] + parts[1], drone_grads=grads[0], sat_grads=grads[1])

@@ -21,8 +21,8 @@ BLOCK_ROWS = 64  # rows of the eps-graph built per similarity product
 class DbscanParams:
     """eps is a cosine-distance threshold (1 - cosine similarity)."""
 
-    eps: float = 0.4
-    min_pts: int = 4
+    eps: float
+    min_pts: int
 
     def validate(self) -> None:
         if not self.eps > 0.0:

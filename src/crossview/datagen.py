@@ -3,8 +3,9 @@ feature-file format for externally computed embeddings.
 
 Each location gets a unit latent vector; the two views observe it through
 different orthonormal-column maps plus Gaussian noise. Ground truth rides
-along for evaluation but the training API only ever sees a TrainingView,
-which structurally cannot reach it.
+along for evaluation: ``Trainer`` takes the whole Corpus because it
+evaluates every epoch, but its training phase reads features only through
+``corpus.training_view()``, a TrainingView, which cannot reach the labels.
 """
 
 import struct
@@ -29,7 +30,7 @@ TAG_VIEWS = {v: k for k, v in VIEW_TAGS.items()}
 
 @dataclass(frozen=True)
 class TrainingView:
-    """The slice of a corpus the trainer is allowed to see."""
+    """The slice of a corpus the training phase reads."""
 
     drone_raw: np.ndarray
     sat_raw: np.ndarray
@@ -93,6 +94,8 @@ class SyntheticSpec:
             raise ValueError("counts must be positive")
         if self.latent_dim < 1 or self.input_dim < self.latent_dim:
             raise ValueError("need input_dim >= latent_dim >= 1")
+        if not np.isfinite(self.noise_std):
+            raise ValueError(f"noise_std must be finite, got {self.noise_std}")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be >= 0")
 

@@ -26,10 +26,10 @@ class DualMemory:
     short_term: np.ndarray
     long_term: np.ndarray
     fused: np.ndarray
-    long_weight: float = 0.5
-    short_weight: float = 0.5
-    momentum: float = 0.2
-    update_rule: str = "damped"
+    long_weight: float
+    short_weight: float
+    momentum: float
+    update_rule: str
 
     @property
     def num_clusters(self) -> int:

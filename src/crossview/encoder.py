@@ -48,11 +48,6 @@ class EncoderParams:
     def embed_dim(self) -> int:
         return self.w2.shape[0]
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy()
-        )
-
 
 @dataclass
 class EncoderGrads:
@@ -75,7 +70,6 @@ class ForwardTape:
 
     inputs: np.ndarray
     hidden: np.ndarray
-    pre_norm: np.ndarray
     norms: np.ndarray
     embeddings: np.ndarray
 
@@ -102,14 +96,14 @@ def forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
             f"input dim {X.shape[1]} does not match encoder input {params.input_dim}"
         )
     hidden = np.tanh(X @ params.w1.T + params.b1)
-    pre_norm = hidden @ params.w2.T + params.b2
-    norms = np.sqrt(np.einsum("ij,ij->i", pre_norm, pre_norm))
+    u = hidden @ params.w2.T + params.b2
+    norms = np.sqrt(np.einsum("ij,ij->i", u, u))
     if (norms < COLLAPSE_NORM).any():
         bad = int(np.flatnonzero(norms < COLLAPSE_NORM)[0])
         raise DegenerateInputError(f"embedding row {bad} collapsed (norm < {COLLAPSE_NORM})")
-    embeddings = pre_norm / norms[:, None]
+    embeddings = u / norms[:, None]
     ensure_finite(embeddings, "embeddings")
-    return embeddings, ForwardTape(X, hidden, pre_norm, norms, embeddings)
+    return embeddings, ForwardTape(X, hidden, norms, embeddings)
 
 
 def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> EncoderGrads:

@@ -23,10 +23,10 @@ from .numcore import Rng, as_matrix, l2_normalize_rows, pairwise_sim, top_k_indi
 
 @dataclass
 class PerturbConfig:
-    noise_std: float = 0.01
-    rank_depth: int = 10
-    smoothing_keep: int = 5
-    seed: int = 0
+    noise_std: float
+    rank_depth: int
+    smoothing_keep: int
+    seed: int
 
     def validate(self) -> None:
         if self.noise_std < 0.0:

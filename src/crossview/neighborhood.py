@@ -51,21 +51,20 @@ class InstanceMemory:
     """Frozen per-instance embedding bank; row i is instance i all epoch."""
 
     features: np.ndarray
-    view: str
 
     @property
     def size(self) -> int:
         return self.features.shape[0]
 
 
-def build_instance_memory(embeddings, view: str) -> InstanceMemory:
+def build_instance_memory(embeddings) -> InstanceMemory:
     embeddings = as_matrix(embeddings, "embeddings").copy()
     if embeddings.shape[0] == 0:
         raise ValueError("cannot build an empty instance memory")
     norms = np.sqrt(np.einsum("ij,ij->i", embeddings, embeddings))
     if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
         raise ValueError("instance memory rows must be unit-norm")
-    return InstanceMemory(features=embeddings, view=view)
+    return InstanceMemory(features=embeddings)
 
 
 def _check_ks(k_strict, k_expanded, pool) -> None:
@@ -77,12 +76,12 @@ def _check_ks(k_strict, k_expanded, pool) -> None:
 
 @dataclass
 class NeighborWeights:
-    threshold_ratio: float = 0.8
-    k_strict: int = 5
-    k_expanded: int = 20
-    mutual_weight: float = 1.0
-    consistency_weight: float = 1.0
-    temperature: float = 0.05
+    threshold_ratio: float
+    k_strict: int
+    k_expanded: int
+    mutual_weight: float
+    consistency_weight: float
+    temperature: float
 
     def validate(self) -> None:
         if not 0.0 < self.threshold_ratio < 1.0:

@@ -114,6 +114,3 @@ class Rng:
 
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)

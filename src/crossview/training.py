@@ -33,7 +33,7 @@ from .clustering import (  # noqa: F401
     dbscan,
     replicate_features,
 )
-from .datagen import Corpus, TrainingView
+from .datagen import Corpus
 from .dual_memory import (
     UPDATE_RULES,
     DualMemory,
@@ -116,6 +116,10 @@ class TrainConfig:
         return self.p_classes * self.z_instances
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         checks = [
             (0.0 <= self.momentum <= 1.0, "momentum must lie in [0, 1]"),
             (self.lr >= 0.0, "lr must be >= 0"),
@@ -312,25 +316,20 @@ def total_loss(batch: Batch, memories: EpochMemories, config: TrainConfig) -> To
 class Trainer:
     """Owns the encoder parameters and the per-epoch state machine."""
 
-    def __init__(self, config: TrainConfig, corpus: Corpus | TrainingView, params=None):
+    def __init__(self, config: TrainConfig, corpus: Corpus):
         config.validate()
+        if corpus.has_ground_truth:
+            corpus.check_paired()
         self.config = config
-        if isinstance(corpus, Corpus):
-            if corpus.has_ground_truth:
-                corpus.check_paired()
-            self.corpus = corpus
-            self.view = corpus.training_view()
-        else:
-            self.corpus = None
-            self.view = corpus
-        if self.view.drone_raw.shape[1] != self.view.sat_raw.shape[1]:
-            raise ConfigError("drone and satellite feature dimensions differ")
-        input_dim = self.view.drone_raw.shape[1]
-        if params is None:
-            params = encoder.init_params(
-                Rng(config.seed).derive(11), input_dim, config.hidden_dim, config.embed_dim
-            )
-        self.params = params
+        self.corpus = corpus
+        # the training phase reads features only through this view
+        self.view = corpus.training_view()
+        self.params = encoder.init_params(
+            Rng(config.seed).derive(11),
+            self.view.drone_raw.shape[1],
+            config.hidden_dim,
+            config.embed_dim,
+        )
         self.rng = Rng(config.seed).derive(23)
         self.epoch = 0
 
@@ -347,8 +346,8 @@ class Trainer:
         cent_d = compute_centroids(emb_d, labels_d)
         cent_s = compute_centroids(emb_s, labels_s)
         memories = EpochMemories(
-            mem_d=init_memory(cent_d, "drone", cfg.momentum, cfg.renormalize_memory),
-            mem_s=init_memory(cent_s, "satellite", cfg.momentum, cfg.renormalize_memory),
+            mem_d=init_memory(cent_d, cfg.momentum, cfg.renormalize_memory),
+            mem_s=init_memory(cent_s, cfg.momentum, cfg.renormalize_memory),
         )
         if cfg.enable_dual:
             memories.dual_d = init_dual(
@@ -358,8 +357,8 @@ class Trainer:
                 cent_s, cfg.momentum, cfg.long_weight, cfg.short_weight, cfg.update_rule
             )
         if cfg.enable_neighbor:
-            memories.inst_d = build_instance_memory(emb_d, "drone")
-            memories.inst_s = build_instance_memory(emb_s, "satellite")
+            memories.inst_d = build_instance_memory(emb_d)
+            memories.inst_s = build_instance_memory(emb_s)
         if cfg.enable_refine and self.epoch >= cfg.refine_start_epoch:
             refine_cfg = PerturbConfig(
                 noise_std=cfg.perturb_std,
@@ -437,11 +436,11 @@ class Trainer:
         return record
 
     def _evaluate_epoch(self, labels_d, labels_s, memories, means, started) -> EpochRecord:
-        emb_d, _ = encoder.forward(self.params, self.view.drone_raw)
-        emb_s, _ = encoder.forward(self.params, self.view.sat_raw)
         evals = dict.fromkeys(SCORE_KEYS)
         agreement = None
-        if self.corpus is not None and self.corpus.has_ground_truth:
+        if self.corpus.has_ground_truth:
+            emb_d, _ = encoder.forward(self.params, self.view.drone_raw)
+            emb_s, _ = encoder.forward(self.params, self.view.sat_raw)
             gt_d, gt_s = self.corpus.ground_truth()
             evals = evaluate_retrieval(emb_d, emb_s, gt_d, gt_s)
             if memories.refined is not None:
@@ -459,26 +458,22 @@ class Trainer:
             **evals,
         )
 
-    def train(self, on_record=None) -> list[EpochRecord]:
-        records = []
-        for _ in range(self.config.epochs):
-            record = self.run_epoch()
-            records.append(record)
-            if on_record is not None:
-                on_record(record)
-        return records
+    def train(self) -> list[EpochRecord]:
+        return [self.run_epoch() for _ in range(self.config.epochs)]
 
 
-def summary_record(records: list[EpochRecord], config: TrainConfig | None = None) -> dict:
+def summary_record(records: list[EpochRecord], config: TrainConfig) -> dict:
     """Best-epoch retrieval summary; best means highest drone-to-satellite
     Recall@1, earliest epoch winning ties."""
-    summary: dict = {"epochs": len(records), "best_epoch": None}
-    if config is not None:
-        summary["components"] = {
+    summary: dict = {
+        "epochs": len(records),
+        "best_epoch": None,
+        "components": {
             "dual": config.enable_dual,
             "neighbor": config.enable_neighbor,
             "refine": config.enable_refine,
-        }
+        },
+    }
     scored = [r for r in records if r.r1_ds is not None]
     if scored:
         best = max(scored, key=lambda r: (r.r1_ds, -r.epoch))
@@ -488,7 +483,7 @@ def summary_record(records: list[EpochRecord], config: TrainConfig | None = None
     return {"summary": summary}
 
 
-def write_metrics(records: list[EpochRecord], path, config: TrainConfig | None = None) -> None:
+def write_metrics(records: list[EpochRecord], path, config: TrainConfig) -> None:
     """Line-delimited JSON: one record per epoch, then a summary line.
 
     A zero-epoch run leaves the file empty.

@@ -119,13 +119,13 @@ def random_memories(rng: Rng, k, embed, n_inst, m_inst, cfg) -> EpochMemories:
         return nc.l2_normalize_rows(r.normal((rows, embed)))
 
     memories = EpochMemories(
-        mem_d=init_memory(bank(rng.derive(1), k), "drone", cfg.momentum),
-        mem_s=init_memory(bank(rng.derive(2), k), "satellite", cfg.momentum),
+        mem_d=init_memory(bank(rng.derive(1), k), cfg.momentum),
+        mem_s=init_memory(bank(rng.derive(2), k), cfg.momentum),
     )
     memories.dual_d = init_dual(bank(rng.derive(3), k), cfg.momentum)
     memories.dual_s = init_dual(bank(rng.derive(4), k), cfg.momentum)
-    memories.inst_d = build_instance_memory(bank(rng.derive(5), n_inst), "drone")
-    memories.inst_s = build_instance_memory(bank(rng.derive(6), m_inst), "satellite")
+    memories.inst_d = build_instance_memory(bank(rng.derive(5), n_inst))
+    memories.inst_s = build_instance_memory(bank(rng.derive(6), m_inst))
     return memories
 
 
@@ -263,7 +263,7 @@ def test_criterion_3_oracle_equivalence(np_rng):
     # neighborhood selection vs sort/enumeration oracles
     for trial in range(50):
         n = int(np_rng.integers(3, 65))
-        mem = build_instance_memory(unit_rows(np_rng, n, 5), "drone")
+        mem = build_instance_memory(unit_rows(np_rng, n, 5))
         q = unit_rows(np_rng, 1, 5)[0]
         sims = mem.features @ q
         k1 = int(np_rng.integers(1, n + 1))
@@ -316,13 +316,13 @@ def test_criterion_3_oracle_equivalence(np_rng):
 
 def test_criterion_4_closed_form_losses(np_rng):
     # singleton threshold set: exactly zero
-    mem = build_instance_memory(unit_rows(np_rng, 6, 4), "drone")
+    mem = build_instance_memory(unit_rows(np_rng, 6, 4))
     q = unit_rows(np_rng, 1, 4)[0]
     loss, _ = alignment_loss(q, mem, np.array([3]), 0.05)
     assert loss == 0.0
     # uniform consistency distribution: exactly zero
     rows = np.tile(unit_rows(np_rng, 1, 4), (4, 1))
-    uniform_mem = build_instance_memory(rows, "drone")
+    uniform_mem = build_instance_memory(rows)
     c_loss, _ = consistency_loss(q, uniform_mem, np.arange(4))
     assert abs(c_loss) <= 1e-12
     # one-hot consistency distribution at k2 = 4: ln 4
@@ -330,13 +330,13 @@ def test_criterion_4_closed_form_losses(np_rng):
     # mutual-information bounds over 1000 random inputs
     for _ in range(1000):
         n = int(np_rng.integers(2, 12))
-        mem_i = build_instance_memory(unit_rows(np_rng, n, 4), "drone")
+        mem_i = build_instance_memory(unit_rows(np_rng, n, 4))
         k1 = int(np_rng.integers(1, n + 1))
         picked = np.sort(np_rng.choice(n, size=k1, replace=False))
         val, _ = mutual_info_loss(np_rng.standard_normal(4), mem_i, picked)
         assert -np.log(k1) - 1e-12 <= val <= 1e-12
     # two-prototype contrastive instance: ln(1 + e^-1)
-    bank = init_memory(np.eye(2), "drone")
+    bank = init_memory(np.eye(2))
     value, _ = bank_contrastive_rows(np.array([[1.0, 0.0]]), bank.centroids, [0], 1.0)
     assert value[0] == pytest.approx(np.log(1.0 + np.exp(-1.0)), abs=1e-9)
     print("ACCEPTANCE 4: PASS (closed-form loss identities hold to stated tolerances)")

@@ -72,6 +72,7 @@ BAD_CORPUS_ENTRIES = {
     "fractional count": {"kind": "synthetic", "num_locations": 2.5},
     "text flag": {"kind": "synthetic", "shared_view_maps": "no"},
     "zero count": {"kind": "synthetic", "num_locations": 0},
+    "non-finite noise": {"kind": "synthetic", "noise_std": float("nan")},
 }
 SMALL_CORPUS = {"kind": "synthetic", "num_locations": 4, "latent_dim": 4, "input_dim": 8}
 
@@ -196,6 +197,32 @@ class TestTrain:
         ):
             assert run_cli(argv) == 2
 
+    def test_non_finite_value_exit_2_before_writing(self, tmp_path, capsys):
+        cfg_file = tmp_path / "nan.cfg"
+        cfg_file.write_text("mutual_weight = nan\n")
+        out = tmp_path / "r"
+        for extra, name in (
+            (["--temperature", "inf"], "temperature"),
+            (["--coeff-base", "nan"], "coeff_base"),
+            (["--lr-decay", "inf"], "lr_decay"),
+            (["--noise-std", "nan"], "noise_std"),
+            (["--config", str(cfg_file)], "mutual_weight"),
+        ):
+            assert run_cli(tiny_train_args(out, extra=extra)) == 2
+            assert f"{name} must be finite" in capsys.readouterr().err
+            assert not out.exists()
+        assert run_cli(["generate", "--out", str(out), "--noise-std", "nan"]) == 2
+        assert "noise_std must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "generate"])
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        argv = tiny_train_args(blocker) if command == "train" else ["generate", "--out", str(blocker)]
+        assert run_cli(argv) == 2
+        assert f"{blocker}: cannot create output directory" in capsys.readouterr().err
+
     def test_one_row_view_with_neighbor_losses_exit_3(self, tmp_path):
         # one location gives a single satellite row: no intra-view neighbour exists
         argv = ["train", "--out", str(tmp_path / "r"), "--locations", "1", "--epochs", "1"]
@@ -298,6 +325,17 @@ class TestEval:
         argv = ["eval", "--checkpoint", str(checkpoint), "--corpus-dir", str(unpaired_corpus_dir(tmp_path))]
         assert run_cli(argv) == 3
         assert "location 0" in capsys.readouterr().err
+
+    def test_out_under_a_file_exit_2(self, tmp_path, capsys):
+        run = fake_run_dir(tmp_path, json.dumps({"corpus": SMALL_CORPUS}))
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        argv = [
+            "eval", "--checkpoint", str(run / "checkpoint.dmpw"), "--run", str(run),
+            "--out", str(blocker / "eval.json"),
+        ]
+        assert run_cli(argv) == 2
+        assert f"{blocker / 'eval.json'}: cannot write results" in capsys.readouterr().err
 
     def test_identity_friendly_corpus_r1_one(self, tmp_path):
         # separable two-location corpus: after one epoch on shared maps with

@@ -181,7 +181,7 @@ def dual_total(np_rng, fused_loss_weight):
     the batch's base contrastive loss."""
     cents = unit_rows(np_rng, 3, 4)
     q, ids, rows = np_rng.standard_normal((2, 4)), [1, 2], [0, 1]
-    banks = [init_memory(cents, view) for view in ("drone", "satellite")]
+    banks = [init_memory(cents), init_memory(cents)]
     mem = EpochMemories(*banks, dual_d=init_dual(cents), dual_s=init_dual(cents))
     config = TrainConfig(temperature=0.2, fused_loss_weight=fused_loss_weight, enable_neighbor=False)
     out = total_loss(Batch(q, ids, rows, q, ids, rows), mem, config)

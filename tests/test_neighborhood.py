@@ -18,20 +18,20 @@ from reference import (
 LN2 = float(np.log(2.0))
 
 
-def memory_with_rows(rows, view="drone"):
+def memory_with_rows(rows):
     rows = np.asarray(rows, dtype=np.float64)
-    return build_instance_memory(rows / np.linalg.norm(rows, axis=1, keepdims=True), view)
+    return build_instance_memory(rows / np.linalg.norm(rows, axis=1, keepdims=True))
 
 
 def planted_memory(np_rng, n, d):
-    return build_instance_memory(unit_rows(np_rng, n, d), "drone")
+    return build_instance_memory(unit_rows(np_rng, n, d))
 
 
-def axis_memory(ids, d=4, view="drone"):
+def axis_memory(ids, d=4):
     """Row j is +e_j for j < d and -e_(j-d) otherwise. A query's similarity
     to such a row is exactly one signed component of its unit vector, so
     equal components tie exactly however the dot products are summed."""
-    return build_instance_memory(np.vstack([np.eye(d), -np.eye(d)])[ids], view)
+    return build_instance_memory(np.vstack([np.eye(d), -np.eye(d)])[ids])
 
 
 def partner_mask(partners, rows):
@@ -63,23 +63,23 @@ class TestInstanceMemory:
 
     def test_rebuild_identical(self, np_rng):
         rows = unit_rows(np_rng, 4, 3)
-        a = build_instance_memory(rows, "drone")
-        b = build_instance_memory(rows, "drone")
+        a = build_instance_memory(rows)
+        b = build_instance_memory(rows)
         np.testing.assert_array_equal(a.features, b.features)
 
     def test_snapshot_is_a_copy(self, np_rng):
         rows = unit_rows(np_rng, 4, 3)
-        mem = build_instance_memory(rows, "drone")
+        mem = build_instance_memory(rows)
         rows[0, 0] = 9.0
         assert mem.features[0, 0] != 9.0
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
-            build_instance_memory(np.array([[2.0, 0.0]]), "drone")
+            build_instance_memory(np.array([[2.0, 0.0]]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_instance_memory(np.zeros((0, 3)), "drone")
+            build_instance_memory(np.zeros((0, 3)))
 
 
 class TestThresholdSet:
@@ -266,7 +266,7 @@ class TestMutualInfoLoss:
 class TestCombination:
     def make_batches(self, np_rng, n=9, m=7, d=4, bd=3, bs=2):
         mem_d = planted_memory(np_rng, n, d)
-        mem_s = build_instance_memory(unit_rows(np_rng, m, d), "satellite")
+        mem_s = build_instance_memory(unit_rows(np_rng, m, d))
         rows_d = np_rng.choice(n, size=bd, replace=False)
         rows_s = np_rng.choice(m, size=bs, replace=False)
         return mem_d, mem_s, mem_d.features[rows_d], rows_d, mem_s.features[rows_s], rows_s
@@ -297,10 +297,13 @@ class TestCombination:
 
     def test_identical_corpora_make_intra_equal_cross(self, np_rng):
         rows = unit_rows(np_rng, 8, 4)
-        mem_d = build_instance_memory(rows, "drone")
-        mem_s = build_instance_memory(rows, "satellite")
+        mem_d = build_instance_memory(rows)
+        mem_s = build_instance_memory(rows)
         q = unit_rows(np_rng, 1, 4)
-        w = NeighborWeights(threshold_ratio=0.6, k_strict=2, k_expanded=4, temperature=0.3)
+        w = NeighborWeights(
+            threshold_ratio=0.6, k_strict=2, k_expanded=4,
+            mutual_weight=1.0, consistency_weight=1.0, temperature=0.3,
+        )
         # index -1 marks a query outside the memory: no self-exclusion
         # anywhere, so the dd and ds contributions coincide
         out = neighborhood_total(
@@ -333,8 +336,8 @@ class TestCombination:
         )
         for seed in range(5):
             rng = np.random.default_rng(seed + 100)
-            mem_d = build_instance_memory(unit_rows(rng, 9, 4), "drone")
-            mem_s = build_instance_memory(unit_rows(rng, 7, 4), "satellite")
+            mem_d = build_instance_memory(unit_rows(rng, 9, 4))
+            mem_s = build_instance_memory(unit_rows(rng, 7, 4))
             rows_d = np.array([1, 4])
             rows_s = np.array([3])
             qd0 = mem_d.features[rows_d] + 0.01 * rng.standard_normal((2, 4))
@@ -352,7 +355,7 @@ class TestCombination:
 
     def test_removing_non_member_row_keeps_sets(self, np_rng):
         rows = unit_rows(np_rng, 12, 4)
-        mem = build_instance_memory(rows, "drone")
+        mem = build_instance_memory(rows)
         q = unit_rows(np_rng, 1, 4)[0]
         omega = threshold_neighborhood(q, mem, 0.9)
         strict, wide = topk_neighborhoods(q, mem, 2, 4)
@@ -362,7 +365,7 @@ class TestCombination:
         drop = outsiders[0]
         keep = np.array([i for i in range(12) if i != drop])
         remap = {old: new for new, old in enumerate(keep)}
-        mem2 = build_instance_memory(rows[keep], "drone")
+        mem2 = build_instance_memory(rows[keep])
         omega2 = threshold_neighborhood(q, mem2, 0.9)
         strict2, wide2 = topk_neighborhoods(q, mem2, 2, 4)
         np.testing.assert_array_equal(omega2, [remap[i] for i in omega.tolist()])
@@ -371,7 +374,7 @@ class TestCombination:
 
     def test_memory_permutation_outside_sets_is_irrelevant(self, np_rng):
         rows = unit_rows(np_rng, 10, 4)
-        mem = build_instance_memory(rows, "drone")
+        mem = build_instance_memory(rows)
         q = unit_rows(np_rng, 1, 4)[0]
         k1, k2 = 2, 3
         strict, wide = topk_neighborhoods(q, mem, k1, k2)
@@ -382,7 +385,7 @@ class TestCombination:
         outside = [i for i in range(10) if i not in wide.tolist()]
         perm = np.arange(10)
         perm[outside] = np.array(outside)[::-1]
-        mem2 = build_instance_memory(rows[perm], "drone")
+        mem2 = build_instance_memory(rows[perm])
         inv = np.argsort(perm)
         b = (
             mutual_info_loss(q, mem2, inv[strict])[0],
@@ -402,7 +405,7 @@ def reference_case(kind):
         drone_queries=rng.standard_normal((3, 4)), drone_indices=np.array([4, -1, 0]),
         sat_queries=rng.standard_normal((2, 4)), sat_indices=np.array([-1, 5]),
         mem_d=planted_memory(rng, 9, 4),
-        mem_s=build_instance_memory(unit_rows(rng, 7, 4), "satellite"),
+        mem_s=build_instance_memory(unit_rows(rng, 7, 4)),
         weights=w,
     )
     if kind == "ties":
@@ -417,7 +420,7 @@ def reference_case(kind):
             sat_queries=np.array([[1.0, 1.0, 2.0, 0.0], [0.0, 2.0, 2.0, 1.0]]),
             sat_indices=np.array([4, -1]),
             mem_d=axis_memory([2, 0, 1, 1, 1, 3]),
-            mem_s=axis_memory([2, 0, 1, 1, 1, 3], view="satellite"),
+            mem_s=axis_memory([2, 0, 1, 1, 1, 3]),
             weights=NeighborWeights(
                 threshold_ratio=0.8, k_strict=2, k_expanded=3,
                 mutual_weight=0.7, consistency_weight=1.3, temperature=0.2,
@@ -434,7 +437,7 @@ def reference_case(kind):
             drone_queries=np.array([[-1.0, -2.0, -1.0, 0.0]]), drone_indices=np.array([0]),
             sat_queries=np.array([[-2.0, -1.0, -1.0, -1.0]]), sat_indices=np.array([-1]),
             mem_d=axis_memory([0, 1, 2, 3, 0]),
-            mem_s=axis_memory([1, 2, 0, 3], view="satellite"),
+            mem_s=axis_memory([1, 2, 0, 3]),
         )
     return case
 
@@ -475,7 +478,7 @@ def test_tie_heavy_batches_match_reference(data):
     # rows along the six signed axes of R^3, so rows repeat and similarities tie
     mem_d = axis_memory(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), d=3)
     mem_s = axis_memory(
-        data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)), d=3, view="satellite"
+        data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m)), d=3
     )
     qd = np.array(data.draw(st.lists(QUERY, min_size=1, max_size=4)), dtype=np.float64)
     qs = np.array(data.draw(st.lists(QUERY, min_size=1, max_size=4)), dtype=np.float64)

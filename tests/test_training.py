@@ -18,7 +18,7 @@ from crossview.clustering import (
     dbscan,
     replicate_features,
 )
-from crossview.datagen import SyntheticSpec, generate
+from crossview.datagen import Corpus, SyntheticSpec, generate
 from crossview.errors import ClusteringError, ConfigError
 from crossview.label_refine import RefinedLabels
 from crossview.neighborhood import NeighborWeights, build_instance_memory
@@ -93,6 +93,8 @@ class TestConfig:
             TrainConfig(k_strict=9, k_expanded=3).validate()
         with pytest.raises(ConfigError):
             TrainConfig(momentum=0.7).validate()  # damped rule bound
+        with pytest.raises(ConfigError, match="coeff_dual must be finite"):
+            TrainConfig(coeff_dual=float("nan")).validate()
 
     def test_ablation_presets(self):
         cfg = TrainConfig().with_ablation("baseline")
@@ -213,6 +215,22 @@ class TestEpoch:
         assert records[0].refine_agreement is None
         assert records[1].refine_agreement is not None
 
+    def test_unlabelled_corpus_skips_evaluation_forwards(self, monkeypatch):
+        labelled = tiny_corpus()
+        corpus = Corpus(labelled.drone_raw, labelled.sat_raw)
+        calls = []
+        forward = encoder.forward
+
+        def counting_forward(params, X):
+            calls.append(1)
+            return forward(params, X)
+
+        monkeypatch.setattr(encoder, "forward", counting_forward)
+        _, records = quiet_train(tiny_config(epochs=1, iters_per_epoch=3), corpus)
+        assert records[0].r1_ds is None
+        # each view once for clustering, then both views per minibatch
+        assert len(calls) == 2 + 2 * 3
+
 
 class TestRefinedPartners:
     def test_neighbor_term_matches_reference_with_refined_members(self):
@@ -226,11 +244,11 @@ class TestRefinedPartners:
         )
         labels_d = PseudoLabels(labels=np.array([0, 0, 1, -1, 1, 2, 2, 2, 3, 1]), num_clusters=4)
         hard = np.array([2, 1, 0, 3, 2, 1])
-        inst_d = build_instance_memory(unit_rows(rng, 10, 4), "drone")
-        inst_s = build_instance_memory(unit_rows(rng, 6, 4), "satellite")
+        inst_d = build_instance_memory(unit_rows(rng, 10, 4))
+        inst_s = build_instance_memory(unit_rows(rng, 6, 4))
         memories = EpochMemories(
-            mem_d=init_memory(unit_rows(rng, 4, 4), "drone"),
-            mem_s=init_memory(unit_rows(rng, 3, 4), "satellite"),
+            mem_d=init_memory(unit_rows(rng, 4, 4)),
+            mem_s=init_memory(unit_rows(rng, 3, 4)),
             inst_d=inst_d,
             inst_s=inst_s,
             refined=RefinedLabels(scores=np.eye(4)[hard], hard=hard),
@@ -303,9 +321,10 @@ class TestSatelliteClustering:
 class TestMetricsFile:
     def test_jsonl_contents(self, tmp_path):
         corpus = tiny_corpus()
-        _, records = quiet_train(tiny_config(epochs=2), corpus)
+        config = tiny_config(epochs=2)
+        _, records = quiet_train(config, corpus)
         path = tmp_path / "metrics.jsonl"
-        write_metrics(records, path)
+        write_metrics(records, path, config)
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         first = json.loads(lines[0])
@@ -317,13 +336,14 @@ class TestMetricsFile:
 
     def test_zero_epochs_empty_file(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
-        write_metrics([], path)
+        write_metrics([], path, tiny_config(epochs=0))
         assert path.read_text() == ""
 
     def test_summary_picks_best_epoch(self):
         corpus = tiny_corpus()
-        _, records = quiet_train(tiny_config(epochs=2), corpus)
-        summary = summary_record(records)["summary"]
+        config = tiny_config(epochs=2)
+        _, records = quiet_train(config, corpus)
+        summary = summary_record(records, config)["summary"]
         best = max(records, key=lambda r: (r.r1_ds, -r.epoch))
         assert summary["best_epoch"] == best.epoch
         assert summary["r1_ds"] == best.r1_ds
