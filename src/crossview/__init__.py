@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .clustering import DbscanParams, PseudoLabels, dbscan
-from .datagen import Corpus, SyntheticSpec, TrainingView, generate, load_corpus
+from .datagen import Corpus, SyntheticSpec, generate, load_corpus
 from .encoder import EncoderParams, forward, init_params
 from .numcore import Rng
 from .training import ABLATIONS, EpochRecord, TrainConfig, Trainer
@@ -19,7 +19,6 @@ __all__ = [
     "SyntheticSpec",
     "TrainConfig",
     "Trainer",
-    "TrainingView",
     "dbscan",
     "forward",
     "generate",

@@ -272,6 +272,14 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_input_dim(params, corpus: Corpus) -> None:
+    if corpus.drone_raw.shape[1] != params.input_dim:
+        raise DataError(
+            f"corpus dimension {corpus.drone_raw.shape[1]} does not match "
+            f"checkpoint input {params.input_dim}"
+        )
+
+
 def _evaluation(params, corpus: Corpus) -> dict:
     emb_d, _ = encoder.forward(params, corpus.drone_raw)
     emb_s, _ = encoder.forward(params, corpus.sat_raw)
@@ -286,11 +294,7 @@ def cmd_eval(args) -> int:
         corpus = load_corpus(Path(args.corpus_dir) / DRONE_FILE, Path(args.corpus_dir) / SAT_FILE)
     else:
         corpus = _manifest_corpus(Path(args.run) / "manifest.json")
-    if corpus.drone_raw.shape[1] != params.input_dim:
-        raise DataError(
-            f"corpus dimension {corpus.drone_raw.shape[1]} does not match "
-            f"checkpoint input {params.input_dim}"
-        )
+    _check_input_dim(params, corpus)
     corpus.check_paired()
     results = _evaluation(params, corpus)
     for key in SCORE_KEYS:
@@ -306,10 +310,12 @@ def cmd_eval(args) -> int:
 def cmd_diag(args) -> int:
     run = Path(args.run)
     # each reader names its file when it is missing or corrupt; all three
-    # are read before anything is written
+    # are read and checked against each other before anything is written
     corpus = _manifest_corpus(run / "manifest.json")
     trace = _cluster_trace(run / "metrics.jsonl")
     params = encoder.load_params(run / "checkpoint.dmpw")
+    _check_input_dim(params, corpus)
+    gt_d, gt_s = corpus.ground_truth()
     trace_path = run / "cluster_trace.tsv"
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write("epoch\tclusters_drone\tclusters_sat\n")
@@ -317,7 +323,6 @@ def cmd_diag(args) -> int:
             fh.write(f"{epoch}\t{drone}\t{sat}\n")
     emb_d, _ = encoder.forward(params, corpus.drone_raw)
     emb_s, _ = encoder.forward(params, corpus.sat_raw)
-    gt_d, gt_s = corpus.ground_truth()
     sims = pairwise_sim(emb_d, emb_s)
     positive_mask = gt_d[:, None] == gt_s[None, :]
     edges = np.linspace(-1.0, 1.0, HIST_BINS + 1)

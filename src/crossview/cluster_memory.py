@@ -29,13 +29,11 @@ class ClusterMemory:
         return self.centroids.shape[0]
 
 
-def init_memory(centroids, momentum: float = 0.2, renormalize: bool = True) -> ClusterMemory:
+def init_memory(centroids, momentum: float, renormalize: bool) -> ClusterMemory:
     """Snapshot this epoch's centroids into a fresh bank."""
     centroids = as_matrix(centroids, "centroids").copy()
     if centroids.shape[0] < 1:
         raise ValueError("cannot initialize memory with an empty centroid set")
-    if not 0.0 <= momentum <= 1.0:
-        raise ValueError(f"momentum must lie in [0, 1], got {momentum}")
     return ClusterMemory(centroids=centroids, momentum=momentum, renormalize=renormalize)
 
 
@@ -63,8 +61,6 @@ def bank_contrastive_rows(queries, bank, positive_ids, temperature: float) -> tu
     them cosines). Returns the per-row losses and their exact per-row
     gradients; the bank is a constant.
     """
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
     bank = np.asarray(bank, dtype=np.float64)
     positive_ids = np.asarray(positive_ids, dtype=np.int64)
     if positive_ids.size and (positive_ids.min() < 0 or positive_ids.max() >= bank.shape[0]):

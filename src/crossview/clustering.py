@@ -126,9 +126,6 @@ def compute_centroids(features, labels: PseudoLabels) -> np.ndarray:
         raise ValueError("labels do not match feature rows")
     centroids = np.empty((labels.num_clusters, features.shape[1]))
     for k in range(labels.num_clusters):
-        members = labels.members(k)
-        if members.size == 0:
-            raise ValueError(f"cluster {k} has no members")
-        centroids[k] = features[members].mean(axis=0)
+        centroids[k] = features[labels.members(k)].mean(axis=0)
     return l2_normalize_rows(centroids)
 

@@ -3,9 +3,9 @@ feature-file format for externally computed embeddings.
 
 Each location gets a unit latent vector; the two views observe it through
 different orthonormal-column maps plus Gaussian noise. Ground truth rides
-along for evaluation: ``Trainer`` takes the whole Corpus because it
-evaluates every epoch, but its training phase reads features only through
-``corpus.training_view()``, a TrainingView, which cannot reach the labels.
+along for evaluation only: its one accessor is ``Corpus.ground_truth()``,
+which ``Trainer`` reads to check the pairing and to evaluate, never to
+train.
 """
 
 import struct
@@ -28,14 +28,6 @@ VIEW_TAGS = {"drone": 0, "satellite": 1}
 TAG_VIEWS = {v: k for k, v in VIEW_TAGS.items()}
 
 
-@dataclass(frozen=True)
-class TrainingView:
-    """The slice of a corpus the training phase reads."""
-
-    drone_raw: np.ndarray
-    sat_raw: np.ndarray
-
-
 class Corpus:
     def __init__(self, drone_raw, sat_raw, drone_loc=None, sat_loc=None):
         self.drone_raw = as_matrix(drone_raw, "drone features")
@@ -50,9 +42,6 @@ class Corpus:
         ):
             if loc is not None and loc.size != mat.shape[0]:
                 raise DataError(f"{name} labels do not match instance count")
-
-    def training_view(self) -> TrainingView:
-        return TrainingView(drone_raw=self.drone_raw, sat_raw=self.sat_raw)
 
     @property
     def has_ground_truth(self) -> bool:

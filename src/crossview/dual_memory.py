@@ -15,7 +15,6 @@ import numpy as np
 
 from . import kernels
 from .cluster_memory import bank_contrastive_rows
-from .errors import ConfigError
 from .numcore import as_matrix, l2_normalize_rows, sigmoid
 
 UPDATE_RULES = ("damped", "normalized")
@@ -37,24 +36,12 @@ class DualMemory:
 
 
 def init_dual(
-    centroids,
-    momentum: float = 0.2,
-    long_weight: float = 0.5,
-    short_weight: float = 0.5,
-    update_rule: str = "damped",
+    centroids, momentum: float, long_weight: float, short_weight: float, update_rule: str
 ) -> DualMemory:
     """Both banks start at this epoch's centroids; fused is their blend."""
     centroids = as_matrix(centroids, "centroids")
     if centroids.shape[0] < 1:
         raise ValueError("cannot initialize dual memory with an empty centroid set")
-    if update_rule not in UPDATE_RULES:
-        raise ConfigError(f"update_rule must be one of {UPDATE_RULES}, got {update_rule!r}")
-    if update_rule == "damped" and momentum >= 0.5:
-        raise ConfigError(
-            f"damped rule needs momentum < 0.5 (history weight 0.5 - momentum), got {momentum}"
-        )
-    if long_weight < 0.0 or short_weight < 0.0:
-        raise ConfigError("fusion weights must be non-negative")
     dm = DualMemory(
         short_term=centroids.copy(),
         long_term=centroids.copy(),
@@ -112,8 +99,6 @@ def update_short_term(dm: DualMemory, beta: float, clusters_in_batch) -> DualMem
 
 
 def refresh_fused(dm: DualMemory) -> DualMemory:
-    if dm.long_weight == 0.0 and dm.short_weight == 0.0:
-        raise ConfigError("fusion weights cannot both be zero")
     dm.fused = l2_normalize_rows(
         dm.long_weight * dm.long_term + dm.short_weight * dm.short_term
     )

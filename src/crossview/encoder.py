@@ -131,8 +131,6 @@ def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> EncoderG
 
 def sgd_step(params: EncoderParams, grads: EncoderGrads, lr: float) -> EncoderParams:
     """Plain gradient descent: theta <- theta - lr * g."""
-    if not lr >= 0.0:
-        raise ValueError(f"learning rate must be non-negative, got {lr}")
     for g in (grads.w1, grads.b1, grads.w2, grads.b2):
         if not np.all(np.isfinite(g)):
             raise NumericError("non-finite gradient in sgd_step")

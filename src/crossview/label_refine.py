@@ -28,14 +28,6 @@ class PerturbConfig:
     smoothing_keep: int
     seed: int
 
-    def validate(self) -> None:
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be >= 0")
-        if self.rank_depth < 1:
-            raise ValueError("rank_depth must be >= 1")
-        if self.smoothing_keep < 1:
-            raise ValueError("smoothing_keep must be >= 1")
-
 
 @dataclass
 class RefinedLabels:
@@ -48,8 +40,6 @@ class RefinedLabels:
 def perturb(features, noise_std: float, rng: Rng) -> np.ndarray:
     """Add elementwise Gaussian noise, then renormalize rows."""
     features = as_matrix(features, "features")
-    if noise_std < 0.0:
-        raise ValueError("noise_std must be >= 0")
     if noise_std == 0.0:
         return features.copy()
     noisy = features + rng.normal(features.shape, scale=noise_std)
@@ -64,10 +54,6 @@ def rank_label_lists(sat_feats, drone_feats, drone_labels: PseudoLabels, depth: 
     most similar gallery instances, best first, ties by lower index.
     """
     gallery = np.flatnonzero(drone_labels.labels != NOISE)
-    if gallery.size == 0:
-        raise ValueError("drone gallery is empty after removing noise")
-    if depth > gallery.size:
-        raise ValueError(f"rank depth {depth} exceeds gallery size {gallery.size}")
     sims = pairwise_sim(sat_feats, np.asarray(drone_feats)[gallery])
     return drone_labels.labels[gallery][top_k_indices(sims, depth)]
 
@@ -104,7 +90,7 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out
 
 
-def smooth_labels(sat_feats, sat_feats_pert, refined_one_hot, keep: int = 5) -> RefinedLabels:
+def smooth_labels(sat_feats, sat_feats_pert, refined_one_hot, keep: int) -> RefinedLabels:
     """Spread one-hot votes along the strongest intra-view similarities.
 
     The original and perturbed satellite-satellite similarity matrices are
@@ -132,7 +118,6 @@ def refine_labels(
     sat_feats, drone_feats, drone_labels: PseudoLabels, config: PerturbConfig
 ) -> RefinedLabels:
     """Full refinement pipeline: perturb, rank, vote, smooth."""
-    config.validate()
     sat_feats = as_matrix(sat_feats, "satellite features")
     drone_feats = as_matrix(drone_feats, "drone features")
     rng = Rng(config.seed)

@@ -83,16 +83,6 @@ class NeighborWeights:
     consistency_weight: float
     temperature: float
 
-    def validate(self) -> None:
-        if not 0.0 < self.threshold_ratio < 1.0:
-            raise ValueError("threshold_ratio must be in (0, 1)")
-        if not 1 <= self.k_strict <= self.k_expanded:
-            raise ValueError("need 1 <= k_strict <= k_expanded")
-        if self.mutual_weight < 0.0 or self.consistency_weight < 0.0:
-            raise ValueError("loss weights must be non-negative")
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
-
 
 def _pair_log_softmax(rows, z, b):
     """Log-probabilities and probabilities of each row's softmax over its
@@ -226,7 +216,6 @@ def neighborhood_total(
     satellite query i's cross-view threshold set, which is how refined
     pseudo-labels feed back into training.
     """
-    weights.validate()
     drone_queries = as_matrix(drone_queries, "drone queries")
     sat_queries = as_matrix(sat_queries, "satellite queries")
     drone_indices = np.asarray(drone_indices, dtype=np.int64)

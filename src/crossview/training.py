@@ -120,6 +120,11 @@ class TrainConfig:
             value = getattr(self, f.name)
             if f.type is float and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+        # the schedule's largest rate is its first (lr) or its last one
+        try:
+            last_lr = self.lr * self.lr_decay ** max(self.epochs - 1, 0)
+        except OverflowError:
+            last_lr = math.inf
         checks = [
             (0.0 <= self.momentum <= 1.0, "momentum must lie in [0, 1]"),
             (self.lr >= 0.0, "lr must be >= 0"),
@@ -127,6 +132,7 @@ class TrainConfig:
             (self.p_classes >= 1 and self.z_instances >= 1, "P and Z must be >= 1"),
             (self.iters_per_epoch >= 0, "iters_per_epoch must be >= 0"),
             (self.lr_decay > 0.0, "lr_decay must be positive"),
+            (math.isfinite(last_lr), "lr_decay: the last rate lr * lr_decay ** (epochs - 1) must be finite"),
             (self.replication >= 1, "replication must be >= 1"),
             (self.dbscan_eps > 0.0, "dbscan_eps must be positive"),
             (self.dbscan_min_pts >= 1, "dbscan_min_pts must be >= 1"),
@@ -322,11 +328,9 @@ class Trainer:
             corpus.check_paired()
         self.config = config
         self.corpus = corpus
-        # the training phase reads features only through this view
-        self.view = corpus.training_view()
         self.params = encoder.init_params(
             Rng(config.seed).derive(11),
-            self.view.drone_raw.shape[1],
+            self.corpus.drone_raw.shape[1],
             config.hidden_dim,
             config.embed_dim,
         )
@@ -375,15 +379,15 @@ class Trainer:
 
     def run_epoch(self) -> EpochRecord:
         cfg = self.config
-        n, m = self.view.drone_raw.shape[0], self.view.sat_raw.shape[0]
+        n, m = self.corpus.drone_raw.shape[0], self.corpus.sat_raw.shape[0]
         if cfg.enable_neighbor and min(n, m) < 2:
             # a one-row view leaves its intra-view neighbourhood pool empty
             raise DataError(
                 f"neighborhood losses need at least 2 rows per view, got {n} drone / {m} satellite"
             )
         started = time.perf_counter()
-        emb_d, _ = encoder.forward(self.params, self.view.drone_raw)
-        emb_s, _ = encoder.forward(self.params, self.view.sat_raw)
+        emb_d, _ = encoder.forward(self.params, self.corpus.drone_raw)
+        emb_s, _ = encoder.forward(self.params, self.corpus.sat_raw)
         labels_d, labels_s = self._pseudo_labels(emb_d, emb_s)
         if labels_d.num_clusters == 0 or labels_s.num_clusters == 0:
             raise ClusteringError(
@@ -404,8 +408,8 @@ class Trainer:
         for _ in range(iters):
             idx_d = sample_view_batch(labels_d, p_d, cfg.z_instances, self.rng)
             idx_s = sample_view_batch(labels_s, p_s, cfg.z_instances, self.rng)
-            q_d, tape_d = encoder.forward(self.params, self.view.drone_raw[idx_d])
-            q_s, tape_s = encoder.forward(self.params, self.view.sat_raw[idx_s])
+            q_d, tape_d = encoder.forward(self.params, self.corpus.drone_raw[idx_d])
+            q_s, tape_s = encoder.forward(self.params, self.corpus.sat_raw[idx_s])
             batch = Batch(
                 drone_emb=q_d,
                 drone_cluster_ids=labels_d.labels[idx_d],
@@ -439,8 +443,8 @@ class Trainer:
         evals = dict.fromkeys(SCORE_KEYS)
         agreement = None
         if self.corpus.has_ground_truth:
-            emb_d, _ = encoder.forward(self.params, self.view.drone_raw)
-            emb_s, _ = encoder.forward(self.params, self.view.sat_raw)
+            emb_d, _ = encoder.forward(self.params, self.corpus.drone_raw)
+            emb_s, _ = encoder.forward(self.params, self.corpus.sat_raw)
             gt_d, gt_s = self.corpus.ground_truth()
             evals = evaluate_retrieval(emb_d, emb_s, gt_d, gt_s)
             if memories.refined is not None:

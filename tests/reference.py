@@ -18,6 +18,7 @@ from crossview.errors import DegenerateInputError
 from crossview.metrics import rank_gallery
 from crossview.neighborhood import InstanceMemory, _check_ks
 from crossview.numcore import Rng, top_k_indices
+from crossview.training import TrainConfig
 
 
 def cosine_sim(a, b) -> float:
@@ -353,3 +354,24 @@ def uniform_stream(rng: Rng, n: int) -> np.ndarray:
 
 def noise_count(labels: PseudoLabels) -> int:
     return int(np.sum(labels.labels == NOISE))
+
+
+# the trainer's settings at their defaults: a test that builds memories
+# directly takes every setting it does not override from here
+DEFAULTS = TrainConfig()
+
+
+def memory_settings(**overrides) -> dict:
+    """``init_memory``'s settings at the ``TrainConfig`` defaults, with overrides."""
+    return {"momentum": DEFAULTS.momentum, "renormalize": DEFAULTS.renormalize_memory, **overrides}
+
+
+def dual_settings(**overrides) -> dict:
+    """``init_dual``'s settings at the ``TrainConfig`` defaults, with overrides."""
+    return {
+        "momentum": DEFAULTS.momentum,
+        "long_weight": DEFAULTS.long_weight,
+        "short_weight": DEFAULTS.short_weight,
+        "update_rule": DEFAULTS.update_rule,
+        **overrides,
+    }

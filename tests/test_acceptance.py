@@ -34,6 +34,7 @@ from reference import (
     alignment_loss,
     consistency_loss,
     flatten_grads,
+    memory_settings,
     mutual_info_loss,
     noise_count,
     reference_pipeline,
@@ -119,11 +120,12 @@ def random_memories(rng: Rng, k, embed, n_inst, m_inst, cfg) -> EpochMemories:
         return nc.l2_normalize_rows(r.normal((rows, embed)))
 
     memories = EpochMemories(
-        mem_d=init_memory(bank(rng.derive(1), k), cfg.momentum),
-        mem_s=init_memory(bank(rng.derive(2), k), cfg.momentum),
+        mem_d=init_memory(bank(rng.derive(1), k), cfg.momentum, cfg.renormalize_memory),
+        mem_s=init_memory(bank(rng.derive(2), k), cfg.momentum, cfg.renormalize_memory),
     )
-    memories.dual_d = init_dual(bank(rng.derive(3), k), cfg.momentum)
-    memories.dual_s = init_dual(bank(rng.derive(4), k), cfg.momentum)
+    dual = (cfg.momentum, cfg.long_weight, cfg.short_weight, cfg.update_rule)
+    memories.dual_d = init_dual(bank(rng.derive(3), k), *dual)
+    memories.dual_s = init_dual(bank(rng.derive(4), k), *dual)
     memories.inst_d = build_instance_memory(bank(rng.derive(5), n_inst))
     memories.inst_s = build_instance_memory(bank(rng.derive(6), m_inst))
     return memories
@@ -336,7 +338,7 @@ def test_criterion_4_closed_form_losses(np_rng):
         val, _ = mutual_info_loss(np_rng.standard_normal(4), mem_i, picked)
         assert -np.log(k1) - 1e-12 <= val <= 1e-12
     # two-prototype contrastive instance: ln(1 + e^-1)
-    bank = init_memory(np.eye(2))
+    bank = init_memory(np.eye(2), **memory_settings())
     value, _ = bank_contrastive_rows(np.array([[1.0, 0.0]]), bank.centroids, [0], 1.0)
     assert value[0] == pytest.approx(np.log(1.0 + np.exp(-1.0)), abs=1e-9)
     print("ACCEPTANCE 4: PASS (closed-form loss identities hold to stated tolerances)")

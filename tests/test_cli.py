@@ -215,6 +215,15 @@ class TestTrain:
         assert "noise_std must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_lr_schedule_exit_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        # 1e300 ** 2 overflows a float; with the default lr the rate of epoch 1 is 1e297
+        for lr in (["--lr", "0"], []):
+            argv = tiny_train_args(out, extra=["--epochs", "3", "--lr-decay", "1e300", *lr])
+            assert run_cli(argv) == 2
+            assert "lr_decay" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "generate"])
     def test_out_is_a_file_exit_2(self, tmp_path, capsys, command):
         blocker = tmp_path / "taken"
@@ -390,6 +399,31 @@ class TestDiag:
 
     def test_invalid_manifest_exit_3(self, tmp_path):
         assert run_cli(["diag", "--run", str(fake_run_dir(tmp_path, "{"))]) == 3
+
+    def test_corpus_dim_changed_since_training_exit_3_before_writing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        corpus_args = ["--locations", "8", "--latent-dim", "4", "--drone-per-loc", "4"]
+        run_cli(["generate", "--out", str(data), "--input-dim", "8", *corpus_args])
+        out = tmp_path / "run"
+        assert run_cli(tiny_train_args(out, corpus_dir=data)) == 0
+        run_cli(["generate", "--out", str(data), "--input-dim", "6", *corpus_args])
+        capsys.readouterr()
+        assert run_cli(["diag", "--run", str(out)]) == 3
+        assert "corpus dimension 6 does not match checkpoint input 8" in capsys.readouterr().err
+        assert not (out / "cluster_trace.tsv").exists()
+        assert not (out / "similarity_hist.tsv").exists()
+
+    def test_unlabelled_corpus_exit_3_before_writing(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        corpus = generate(SyntheticSpec(num_locations=8, latent_dim=4, input_dim=8, drone_per_loc=4))
+        save_corpus(Corpus(corpus.drone_raw, corpus.sat_raw), data / "drone.dmfv", data / "satellite.dmfv")
+        out = tmp_path / "run"
+        assert run_cli(tiny_train_args(out, corpus_dir=data)) == 0
+        assert run_cli(["diag", "--run", str(out)]) == 3
+        assert "corpus carries no ground truth" in capsys.readouterr().err
+        assert not (out / "cluster_trace.tsv").exists()
+        assert not (out / "similarity_hist.tsv").exists()
 
     def test_manifest_without_corpus_exit_3(self, tmp_path, capsys):
         run = fake_run_dir(tmp_path, '{"command": "generate"}')

@@ -7,7 +7,6 @@ import pytest
 from crossview.datagen import (
     Corpus,
     SyntheticSpec,
-    TrainingView,
     generate,
     load_corpus,
     load_feature_file,
@@ -71,13 +70,6 @@ class TestGenerate:
 
 
 class TestGroundTruthIsolation:
-    def test_training_view_has_no_accessor(self):
-        corpus = generate(SyntheticSpec(num_locations=3, latent_dim=2, input_dim=4))
-        view = corpus.training_view()
-        assert isinstance(view, TrainingView)
-        assert not hasattr(view, "ground_truth")
-        assert not hasattr(view, "_drone_loc")
-
     def test_missing_ground_truth_raises(self):
         corpus = Corpus(np.eye(3), np.eye(3))
         assert not corpus.has_ground_truth

@@ -11,8 +11,8 @@ from crossview.dual_memory import (
     update_long_term_batch,
     update_short_term,
 )
-from crossview.errors import ConfigError
 from crossview.training import Batch, EpochMemories, TrainConfig, total_loss
+from reference import dual_settings, memory_settings
 
 
 def make_dual(np_rng=None, k=3, d=4, **kwargs):
@@ -20,57 +20,53 @@ def make_dual(np_rng=None, k=3, d=4, **kwargs):
         cents = np.eye(max(k, d))[:k, :d]
     else:
         cents = unit_rows(np_rng, k, d)
-    return init_dual(cents, **kwargs)
+    return init_dual(cents, **dual_settings(**kwargs))
 
 
 class TestInit:
     def test_banks_start_at_centroids(self, np_rng):
         cents = unit_rows(np_rng, 3, 5)
-        dm = init_dual(cents)
+        dm = init_dual(cents, **dual_settings())
         np.testing.assert_array_equal(dm.short_term, cents)
         np.testing.assert_array_equal(dm.long_term, cents)
 
     def test_equal_weights_fused_equals_centroids(self, np_rng):
         cents = unit_rows(np_rng, 3, 5)
-        dm = init_dual(cents, long_weight=0.5, short_weight=0.5)
+        dm = init_dual(cents, **dual_settings(long_weight=0.5, short_weight=0.5))
         np.testing.assert_allclose(dm.fused, cents, atol=1e-12)
 
     def test_deterministic_reinit(self, np_rng):
         cents = unit_rows(np_rng, 4, 3)
-        a = init_dual(cents)
-        b = init_dual(cents)
+        a = init_dual(cents, **dual_settings())
+        b = init_dual(cents, **dual_settings())
         np.testing.assert_array_equal(a.fused, b.fused)
-
-    def test_damped_needs_small_momentum(self):
-        with pytest.raises(ConfigError):
-            init_dual(np.eye(2), momentum=0.6, update_rule="damped")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            init_dual(np.zeros((0, 2)))
+            init_dual(np.zeros((0, 2)), **dual_settings())
 
 
 class TestLongTermUpdate:
     def test_hand_value_damped(self):
-        dm = init_dual(np.eye(2), momentum=0.2)
+        dm = init_dual(np.eye(2), **dual_settings(momentum=0.2))
         update_long_term_batch(dm, [0], np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(dm.long_term[0], [0.83205029, 0.55470020], atol=1e-8)
 
     def test_query_equal_to_row_keeps_direction(self):
-        dm = init_dual(np.eye(2), momentum=0.2)
+        dm = init_dual(np.eye(2), **dual_settings(momentum=0.2))
         update_long_term_batch(dm, [1], np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(dm.long_term[1], [0.0, 1.0], atol=1e-12)
 
     def test_zero_momentum_keeps_direction(self):
-        dm = init_dual(np.eye(2), momentum=0.0)
+        dm = init_dual(np.eye(2), **dual_settings(momentum=0.0))
         update_long_term_batch(dm, [0], np.array([[0.0, 1.0]]))
         np.testing.assert_allclose(dm.long_term[0], [1.0, 0.0], atol=1e-12)
 
     def test_normalized_rule_same_direction_as_damped(self, np_rng):
         cents = unit_rows(np_rng, 2, 4)
         q = unit_rows(np_rng, 1, 4)
-        damped = init_dual(cents, momentum=0.2, update_rule="damped")
-        normed = init_dual(cents, momentum=0.2, update_rule="normalized")
+        damped = init_dual(cents, **dual_settings(momentum=0.2, update_rule="damped"))
+        normed = init_dual(cents, **dual_settings(momentum=0.2, update_rule="normalized"))
         update_long_term_batch(damped, [0], q)
         update_long_term_batch(normed, [0], q)
         np.testing.assert_allclose(damped.long_term[0], normed.long_term[0], atol=1e-12)
@@ -90,7 +86,7 @@ class TestBeta:
         assert compute_beta(dm.long_term[ids], dm, ids) == pytest.approx(0.5, abs=1e-12)
 
     def test_hand_value(self):
-        dm = init_dual(np.eye(2), momentum=0.2)
+        dm = init_dual(np.eye(2), **dual_settings(momentum=0.2))
         # one query at distance ln(3) from its long-term row
         q = np.array([1.0, np.log(3.0)])
         assert compute_beta(q[None, :], dm, [0]) == pytest.approx(0.75, abs=1e-12)
@@ -157,7 +153,7 @@ class TestFusion:
         np.testing.assert_allclose(dm.fused, dm.long_term, atol=1e-12)
 
     def test_hand_value(self):
-        dm = init_dual(np.eye(2), momentum=0.2)
+        dm = init_dual(np.eye(2), **dual_settings(momentum=0.2))
         dm.long_term = np.array([[1.0, 0.0]])
         dm.short_term = np.array([[0.0, 1.0]])
         refresh_fused(dm)
@@ -169,20 +165,15 @@ class TestFusion:
         refresh_fused(dm)
         np.testing.assert_allclose(np.linalg.norm(dm.fused, axis=1), 1.0, atol=1e-12)
 
-    def test_zero_weights_rejected(self, np_rng):
-        dm = make_dual(np_rng)
-        dm.long_weight = dm.short_weight = 0.0
-        with pytest.raises(ConfigError):
-            refresh_fused(dm)
-
 
 def dual_total(np_rng, fused_loss_weight):
     """total_loss of a two-query batch with the neighbourhood term off, and
     the batch's base contrastive loss."""
     cents = unit_rows(np_rng, 3, 4)
     q, ids, rows = np_rng.standard_normal((2, 4)), [1, 2], [0, 1]
-    banks = [init_memory(cents), init_memory(cents)]
-    mem = EpochMemories(*banks, dual_d=init_dual(cents), dual_s=init_dual(cents))
+    banks = [init_memory(cents, **memory_settings()) for _ in range(2)]
+    duals = [init_dual(cents, **dual_settings()) for _ in range(2)]
+    mem = EpochMemories(*banks, *duals)
     config = TrainConfig(temperature=0.2, fused_loss_weight=fused_loss_weight, enable_neighbor=False)
     out = total_loss(Batch(q, ids, rows, q, ids, rows), mem, config)
     return out, batch_loss_cv(q, ids, q, ids, *banks, 0.2)
@@ -196,7 +187,7 @@ class TestCombinedLoss:
         np.testing.assert_allclose(out.sat_grads - 2.0 * base.sat_grads, 0.0, atol=1e-15)
 
     def test_single_cluster_fused_term_zero(self, np_rng):
-        dm = init_dual(unit_rows(np_rng, 1, 4))
+        dm = init_dual(unit_rows(np_rng, 1, 4), **dual_settings())
         q = unit_rows(np_rng, 1, 4)
         value, _ = fused_bank_loss(q, dm, [0], 0.5)
         assert value[0] == pytest.approx(0.0, abs=1e-15)
@@ -209,7 +200,7 @@ class TestCombinedLoss:
     def test_gradient_matches_finite_differences(self, np_rng):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            dm = init_dual(unit_rows(rng, 4, 5))
+            dm = init_dual(unit_rows(rng, 4, 5), **dual_settings())
             q0 = rng.standard_normal((1, 5))
 
             def value(q):
@@ -221,7 +212,7 @@ class TestCombinedLoss:
     def test_all_equal_state_is_update_fixed_point(self, np_rng):
         cents = unit_rows(np_rng, 3, 4)
         for rule in ("damped", "normalized"):
-            dm = init_dual(cents, momentum=0.2, update_rule=rule)
+            dm = init_dual(cents, **dual_settings(momentum=0.2, update_rule=rule))
             for k in range(3):
                 update_long_term_batch(dm, [k], cents[k : k + 1])
             update_short_term(dm, compute_beta(cents, dm, [0, 1, 2]), [0, 1, 2])

@@ -94,10 +94,6 @@ class TestSoftmax:
             softmax([1.0, 0.0], 1.0), [0.73105858, 0.26894142], atol=1e-8
         )
 
-    def test_bad_temperature(self):
-        with pytest.raises(ValueError):
-            softmax([1.0, 2.0], 0.0)
-
     @given(
         st.lists(finite_floats, min_size=1, max_size=12),
         finite_floats,

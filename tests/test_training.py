@@ -34,7 +34,7 @@ from crossview.training import (
     total_loss,
     write_metrics,
 )
-from reference import reference_total
+from reference import memory_settings, reference_total
 
 
 def tiny_config(**overrides):
@@ -95,6 +95,22 @@ class TestConfig:
             TrainConfig(momentum=0.7).validate()  # damped rule bound
         with pytest.raises(ConfigError, match="coeff_dual must be finite"):
             TrainConfig(coeff_dual=float("nan")).validate()
+        # the one check of each rule the memories, losses, refinement and
+        # optimiser take as given
+        for values, message in (
+            (dict(long_weight=0.0, short_weight=0.0), "fusion weights cannot both be zero"),
+            (dict(update_rule="exact"), "unknown update_rule"),
+            (dict(perturb_std=-0.01), "perturb_std must be >= 0"),
+            (dict(rank_depth=0), "rank_depth must be >= 1"),
+            (dict(smoothing_keep=0), "smoothing_keep must be >= 1"),
+            (dict(neighbor_threshold=1.0), "neighbor_threshold must be in (0, 1)"),
+            (dict(mutual_weight=-0.5), "mutual_weight must be >= 0"),
+            (dict(lr=-0.001), "lr must be >= 0"),
+            (dict(epochs=3, lr=0.0, lr_decay=1e300), "lr_decay: the last rate"),
+        ):
+            with pytest.raises(ConfigError) as err:
+                TrainConfig(**values).validate()
+            assert str(err.value).startswith(message), values
 
     def test_ablation_presets(self):
         cfg = TrainConfig().with_ablation("baseline")
@@ -247,8 +263,8 @@ class TestRefinedPartners:
         inst_d = build_instance_memory(unit_rows(rng, 10, 4))
         inst_s = build_instance_memory(unit_rows(rng, 6, 4))
         memories = EpochMemories(
-            mem_d=init_memory(unit_rows(rng, 4, 4)),
-            mem_s=init_memory(unit_rows(rng, 3, 4)),
+            mem_d=init_memory(unit_rows(rng, 4, 4), **memory_settings()),
+            mem_s=init_memory(unit_rows(rng, 3, 4), **memory_settings()),
             inst_d=inst_d,
             inst_s=inst_s,
             refined=RefinedLabels(scores=np.eye(4)[hard], hard=hard),
@@ -286,8 +302,8 @@ class TestSatelliteClustering:
         corpus = tiny_corpus()
         cfg = tiny_config(dbscan_min_pts=12)  # 12 over 8 replicas: 2 originals needed
         trainer = Trainer(cfg, corpus)
-        emb_d, _ = encoder.forward(trainer.params, trainer.view.drone_raw)
-        emb_s, _ = encoder.forward(trainer.params, trainer.view.sat_raw)
+        emb_d, _ = encoder.forward(trainer.params, trainer.corpus.drone_raw)
+        emb_s, _ = encoder.forward(trainer.params, trainer.corpus.sat_raw)
         _, labels_s = trainer._pseudo_labels(emb_d, emb_s)
         rep, idx = replicate_features(emb_s, cfg.replication)
         db = DbscanParams(eps=cfg.dbscan_eps, min_pts=cfg.dbscan_min_pts)
