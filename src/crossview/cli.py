@@ -19,15 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, encoder
+from .config import ABLATIONS, UPDATE_RULES, TrainConfig
 from .datagen import Corpus, SyntheticSpec, generate, load_corpus, save_corpus
-from .dual_memory import UPDATE_RULES
 from .errors import ConfigError, CrossviewError, DataError, NumericError
 from .metrics import SCORE_KEYS, evaluate_retrieval
 # recall_at_k and average_precision are unused here but stay importable
 # from this module: perfbench/tracer.py wraps them by name.
 from .metrics import average_precision, recall_at_k  # noqa: F401
 from .numcore import pairwise_sim
-from .training import ABLATIONS, TrainConfig, Trainer, write_metrics
+from .training import Trainer, write_metrics
 
 DRONE_FILE = "drone.dmfv"
 SAT_FILE = "satellite.dmfv"

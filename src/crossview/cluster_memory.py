@@ -7,7 +7,7 @@ Each row takes its queries in batch index order, one update after another;
 ``kernels.blend_chain`` applies the t-th update of every row in one step,
 which gives the same bits as one update at a time. Centroid banks are
 treated as constants when differentiating, so gradients flow only into
-the query embeddings.
+the query embeddings. A bank is a plain (clusters x dim) array.
 """
 
 from dataclasses import dataclass
@@ -15,42 +15,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .config import TrainConfig
 from .numcore import as_matrix
 
 
-@dataclass
-class ClusterMemory:
-    centroids: np.ndarray
-    momentum: float
-    renormalize: bool
-
-    @property
-    def num_clusters(self) -> int:
-        return self.centroids.shape[0]
-
-
-def init_memory(centroids, momentum: float, renormalize: bool) -> ClusterMemory:
+def init_memory(centroids) -> np.ndarray:
     """Snapshot this epoch's centroids into a fresh bank."""
     centroids = as_matrix(centroids, "centroids").copy()
     if centroids.shape[0] < 1:
         raise ValueError("cannot initialize memory with an empty centroid set")
-    return ClusterMemory(centroids=centroids, momentum=momentum, renormalize=renormalize)
+    return centroids
 
 
-def momentum_update_batch(mem: ClusterMemory, cluster_ids, queries) -> ClusterMemory:
-    """Sequential momentum updates for a whole batch, in index order."""
+def momentum_update_batch(bank: np.ndarray, cluster_ids, queries, config: TrainConfig) -> np.ndarray:
+    """Sequential in-place momentum updates for a whole batch, in index order."""
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
-    if cluster_ids.size and (cluster_ids.min() < 0 or cluster_ids.max() >= mem.num_clusters):
+    if cluster_ids.size and (cluster_ids.min() < 0 or cluster_ids.max() >= bank.shape[0]):
         raise ValueError("cluster id out of range")
     kernels.blend_chain(
-        mem.centroids,
+        bank,
         cluster_ids,
         as_matrix(queries, "queries"),
-        mem.momentum,
-        1.0 - mem.momentum,
-        mem.renormalize,
+        config.momentum,
+        1.0 - config.momentum,
+        config.renormalize_memory,
     )
-    return mem
+    return bank
 
 
 def bank_contrastive_rows(queries, bank, positive_ids, temperature: float) -> tuple[np.ndarray, np.ndarray]:
@@ -87,8 +77,8 @@ def batch_loss_cv(
     drone_ids,
     sat_queries,
     sat_ids,
-    mem_d: ClusterMemory,
-    mem_s: ClusterMemory,
+    mem_d: np.ndarray,
+    mem_s: np.ndarray,
     temperature: float,
 ) -> BatchLoss:
     """Mean drone-view loss plus mean satellite-view loss over the batch.
@@ -107,7 +97,7 @@ def batch_loss_cv(
     for queries, ids, mem in ((drone_queries, drone_ids, mem_d), (sat_queries, sat_ids, mem_s)):
         if queries.shape[0] == 0:
             raise ValueError("empty query batch")
-        losses, g = bank_contrastive_rows(queries, mem.centroids, ids, temperature)
+        losses, g = bank_contrastive_rows(queries, mem, ids, temperature)
         parts.append(float(losses.sum()) / queries.shape[0])
         grads.append(g / queries.shape[0])
     return BatchLoss(value=parts[0] + parts[1], drone_grads=grads[0], sat_grads=grads[1])

@@ -40,6 +40,8 @@ class Corpus:
             ("drone", self._drone_loc, self.drone_raw),
             ("satellite", self._sat_loc, self.sat_raw),
         ):
+            if 0 in mat.shape:
+                raise DataError(f"{name} view is empty: {mat.shape[0]} rows x {mat.shape[1]} columns")
             if loc is not None and loc.size != mat.shape[0]:
                 raise DataError(f"{name} labels do not match instance count")
 

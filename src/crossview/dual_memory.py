@@ -15,9 +15,8 @@ import numpy as np
 
 from . import kernels
 from .cluster_memory import bank_contrastive_rows
+from .config import TrainConfig
 from .numcore import as_matrix, l2_normalize_rows, sigmoid
-
-UPDATE_RULES = ("damped", "normalized")
 
 
 @dataclass
@@ -25,19 +24,13 @@ class DualMemory:
     short_term: np.ndarray
     long_term: np.ndarray
     fused: np.ndarray
-    long_weight: float
-    short_weight: float
-    momentum: float
-    update_rule: str
 
     @property
     def num_clusters(self) -> int:
         return self.long_term.shape[0]
 
 
-def init_dual(
-    centroids, momentum: float, long_weight: float, short_weight: float, update_rule: str
-) -> DualMemory:
+def init_dual(centroids, config: TrainConfig) -> DualMemory:
     """Both banks start at this epoch's centroids; fused is their blend."""
     centroids = as_matrix(centroids, "centroids")
     if centroids.shape[0] < 1:
@@ -46,30 +39,26 @@ def init_dual(
         short_term=centroids.copy(),
         long_term=centroids.copy(),
         fused=np.empty_like(centroids),
-        long_weight=long_weight,
-        short_weight=short_weight,
-        momentum=momentum,
-        update_rule=update_rule,
     )
-    refresh_fused(dm)
+    refresh_fused(dm, config)
     return dm
 
 
-def _long_term_weights(dm: DualMemory) -> tuple[float, float]:
+def _long_term_weights(config: TrainConfig) -> tuple[float, float]:
     # damped: history and input weights sum to 0.5 on purpose; the row is
     # renormalized afterwards. normalized: same ratio rescaled to sum 1.
-    hist = 0.5 - dm.momentum
-    new = dm.momentum
-    if dm.update_rule == "normalized":
+    hist = 0.5 - config.momentum
+    new = config.momentum
+    if config.update_rule == "normalized":
         hist, new = hist / 0.5, new / 0.5
     return hist, new
 
 
-def update_long_term_batch(dm: DualMemory, cluster_ids, queries) -> DualMemory:
+def update_long_term_batch(dm: DualMemory, cluster_ids, queries, config: TrainConfig) -> DualMemory:
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
     if cluster_ids.size and (cluster_ids.min() < 0 or cluster_ids.max() >= dm.num_clusters):
         raise ValueError("cluster id out of range")
-    hist, new = _long_term_weights(dm)
+    hist, new = _long_term_weights(config)
     kernels.blend_chain(dm.long_term, cluster_ids, as_matrix(queries, "queries"), hist, new, True)
     return dm
 
@@ -98,9 +87,9 @@ def update_short_term(dm: DualMemory, beta: float, clusters_in_batch) -> DualMem
     return dm
 
 
-def refresh_fused(dm: DualMemory) -> DualMemory:
+def refresh_fused(dm: DualMemory, config: TrainConfig) -> DualMemory:
     dm.fused = l2_normalize_rows(
-        dm.long_weight * dm.long_term + dm.short_weight * dm.short_term
+        config.long_weight * dm.long_term + config.short_weight * dm.short_term
     )
     return dm
 

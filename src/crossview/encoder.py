@@ -98,11 +98,14 @@ def forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
     hidden = np.tanh(X @ params.w1.T + params.b1)
     u = hidden @ params.w2.T + params.b2
     norms = np.sqrt(np.einsum("ij,ij->i", u, u))
+    # a norm that overflows to inf would divide its row to zeros
+    if not np.isfinite(norms).all():
+        bad = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise NumericError(f"embedding row {bad} has a non-finite norm")
     if (norms < COLLAPSE_NORM).any():
         bad = int(np.flatnonzero(norms < COLLAPSE_NORM)[0])
         raise DegenerateInputError(f"embedding row {bad} collapsed (norm < {COLLAPSE_NORM})")
     embeddings = u / norms[:, None]
-    ensure_finite(embeddings, "embeddings")
     return embeddings, ForwardTape(X, hidden, norms, embeddings)
 
 
@@ -189,6 +192,8 @@ def load_params(path) -> EncoderParams:
     if ndims != 3 or len(blob) < 12 + 4 * ndims:
         raise TruncatedFileError(f"{path}: dimension block truncated")
     input_dim, hidden_dim, embed_dim = struct.unpack_from(f"<{ndims}I", blob, 12)
+    if 0 in (input_dim, hidden_dim, embed_dim):
+        raise DataError(f"{path}: zero layer dimension in {input_dim} x {hidden_dim} x {embed_dim}")
     count = (
         hidden_dim * input_dim + hidden_dim + embed_dim * hidden_dim + embed_dim
     )

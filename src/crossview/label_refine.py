@@ -18,15 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import NOISE, PseudoLabels
+from .config import TrainConfig
 from .numcore import Rng, as_matrix, l2_normalize_rows, pairwise_sim, top_k_indices
-
-
-@dataclass
-class PerturbConfig:
-    noise_std: float
-    rank_depth: int
-    smoothing_keep: int
-    seed: int
 
 
 @dataclass
@@ -115,14 +108,14 @@ def smooth_labels(sat_feats, sat_feats_pert, refined_one_hot, keep: int) -> Refi
 
 
 def refine_labels(
-    sat_feats, drone_feats, drone_labels: PseudoLabels, config: PerturbConfig
+    sat_feats, drone_feats, drone_labels: PseudoLabels, config: TrainConfig, rng: Rng
 ) -> RefinedLabels:
-    """Full refinement pipeline: perturb, rank, vote, smooth."""
+    """Full refinement pipeline: perturb, rank, vote, smooth. The noise of
+    the two views comes from ``rng.derive(1)`` and ``rng.derive(2)``."""
     sat_feats = as_matrix(sat_feats, "satellite features")
     drone_feats = as_matrix(drone_feats, "drone features")
-    rng = Rng(config.seed)
-    sat_pert = perturb(sat_feats, config.noise_std, rng.derive(1))
-    drone_pert = perturb(drone_feats, config.noise_std, rng.derive(2))
+    sat_pert = perturb(sat_feats, config.perturb_std, rng.derive(1))
+    drone_pert = perturb(drone_feats, config.perturb_std, rng.derive(2))
     gallery_size = int(np.sum(drone_labels.labels != NOISE))
     depth = config.rank_depth
     if depth > gallery_size:

@@ -32,13 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainConfig
 # top_k_indices is unused here but stays importable from this module:
 # perfbench/tracer.py wraps it by name.
 from .numcore import as_matrix, top_k_indices  # noqa: F401
 
 __all__ = [
     "InstanceMemory",
-    "NeighborWeights",
     "build_instance_memory",
     "neighborhood_total",
 ]
@@ -74,16 +74,6 @@ def _check_ks(k_strict, k_expanded, pool) -> None:
         )
 
 
-@dataclass
-class NeighborWeights:
-    threshold_ratio: float
-    k_strict: int
-    k_expanded: int
-    mutual_weight: float
-    consistency_weight: float
-    temperature: float
-
-
 def _pair_log_softmax(rows, z, b):
     """Log-probabilities and probabilities of each row's softmax over its
     pairs, plus the pair count per row; rows must come sorted, and a row
@@ -99,7 +89,7 @@ def _pair_log_softmax(rows, z, b):
     return logp, np.exp(logp), counts
 
 
-def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own, forced):
+def _direction_batch(queries, mem: InstanceMemory, config: TrainConfig, own, forced):
     """Alignment + mutual-information + consistency losses of one direction,
     for every query of a batch at once.
 
@@ -129,11 +119,11 @@ def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own
     # no set below ever picks an excluded entry, so sims carries the exclusion
     sims[selves, own[selves]] = -np.inf
 
-    omega = sims > weights.threshold_ratio * sims.max(axis=1, keepdims=True)
+    omega = sims > config.neighbor_threshold * sims.max(axis=1, keepdims=True)
     if forced is not None:
         omega |= forced
 
-    k_expanded = weights.k_expanded
+    k_expanded = config.k_expanded
     pool = n - (own >= 0)
     if k_expanded > pool.min():
         warnings.warn(
@@ -141,7 +131,7 @@ def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own
             stacklevel=2,
         )
     k2 = np.minimum(k_expanded, pool)
-    k1 = np.minimum(weights.k_strict, k2)
+    k1 = np.minimum(config.k_strict, k2)
     _check_ks(int(k1.min()), int(k2.min()), int(pool.min()))
     # each row's k2-th largest similarity; k2 differs per row when the clamp bites
     kth = np.flatnonzero(np.bincount(n - k2))  # distinct, ascending
@@ -165,7 +155,7 @@ def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own
     thresh = np.flatnonzero(omega)
 
     # alignment: sum over omega of -log p of the tempered softmax
-    t = weights.temperature
+    t = config.temperature
     rows, s = thresh // n, flat[thresh]
     logp, p, size = _pair_log_softmax(rows, s / t, b)
     # bincount over no pairs at all gives integers, so start from float zeros
@@ -176,7 +166,7 @@ def _direction_batch(queries, mem: InstanceMemory, weights: NeighborWeights, own
     grad_s[thresh] = g
     along = np.zeros(b)
     along += np.bincount(rows, g * s, minlength=b)
-    for pairs, weight in ((strict, -weights.mutual_weight), (wide, weights.consistency_weight)):
+    for pairs, weight in ((strict, -config.mutual_weight), (wide, config.consistency_weight)):
         rows, s = pairs // n, flat[pairs]
         logp, p, size = _pair_log_softmax(rows, s, b)
         entropy = np.bincount(rows, p * logp, minlength=b)
@@ -203,7 +193,7 @@ def neighborhood_total(
     sat_indices,
     mem_d: InstanceMemory,
     mem_s: InstanceMemory,
-    weights: NeighborWeights,
+    config: TrainConfig,
     forced_s=None,
 ) -> NeighborhoodLoss:
     """Sum of the four directional losses, each batch-averaged.
@@ -230,8 +220,8 @@ def neighborhood_total(
         b = queries.shape[0]
         if b == 0:
             continue
-        v_intra, g_intra = _direction_batch(queries, intra, weights, own, None)
-        v_cross, g_cross = _direction_batch(queries, cross, weights, np.full(b, -1), forced)
+        v_intra, g_intra = _direction_batch(queries, intra, config, own, None)
+        v_cross, g_cross = _direction_batch(queries, cross, config, np.full(b, -1), forced)
         total += float((v_intra + v_cross).sum()) / b
         grads[:] = (g_intra + g_cross) / b
     return NeighborhoodLoss(value=float(total), drone_grads=gd, sat_grads=gs)

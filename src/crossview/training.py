@@ -17,12 +17,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import encoder
-from .cluster_memory import (
-    ClusterMemory,
-    batch_loss_cv,
-    init_memory,
-    momentum_update_batch,
-)
+from .cluster_memory import batch_loss_cv, init_memory, momentum_update_batch
 # replicate_features and collapse_replica_labels are unused here but stay
 # importable from this module: perfbench/tracer.py wraps them by name.
 from .clustering import (  # noqa: F401
@@ -33,9 +28,9 @@ from .clustering import (  # noqa: F401
     dbscan,
     replicate_features,
 )
+from .config import TrainConfig
 from .datagen import Corpus
 from .dual_memory import (
-    UPDATE_RULES,
     DualMemory,
     compute_beta,
     fused_bank_loss,
@@ -44,127 +39,18 @@ from .dual_memory import (
     update_long_term_batch,
     update_short_term,
 )
-from .errors import ClusteringError, ConfigError, DataError, NumericError
-from .label_refine import PerturbConfig, RefinedLabels, refine_labels, refinement_agreement
+from .errors import ClusteringError, DataError, NumericError
+from .label_refine import RefinedLabels, refine_labels, refinement_agreement
 from .metrics import SCORE_KEYS, evaluate_retrieval
 # recall_at_k and average_precision are unused here but stay importable
 # from this module: perfbench/tracer.py wraps them by name.
 from .metrics import average_precision, recall_at_k  # noqa: F401
 from .neighborhood import (
     InstanceMemory,
-    NeighborWeights,
     build_instance_memory,
     neighborhood_total,
 )
 from .numcore import Rng
-
-ABLATIONS = {
-    "baseline": dict(enable_dual=False, enable_neighbor=False, enable_refine=False),
-    "dual-memory": dict(enable_dual=True, enable_neighbor=False, enable_refine=False),
-    "neighbor": dict(enable_dual=False, enable_neighbor=True, enable_refine=False),
-    "full": dict(enable_dual=True, enable_neighbor=True, enable_refine=True),
-}
-
-
-@dataclass
-class TrainConfig:
-    # optimization
-    momentum: float = 0.2
-    lr: float = 0.001
-    epochs: int = 30
-    p_classes: int = 16
-    z_instances: int = 4
-    iters_per_epoch: int = 0  # 0 means ceil(max(N, M) / batch)
-    lr_decay: float = 1.0  # per-epoch multiplier; 1.0 keeps the rate constant
-    # clustering
-    replication: int = 50
-    dbscan_eps: float = 0.12
-    dbscan_min_pts: int = 4
-    # contrastive losses
-    temperature: float = 0.2
-    fused_loss_weight: float = 1.0
-    long_weight: float = 0.5
-    short_weight: float = 0.5
-    update_rule: str = "damped"
-    renormalize_memory: bool = True
-    # neighborhood losses
-    neighbor_threshold: float = 0.95
-    k_strict: int = 3
-    k_expanded: int = 6
-    mutual_weight: float = 1.0
-    consistency_weight: float = 1.0
-    # label refinement
-    perturb_std: float = 0.01
-    rank_depth: int = 10
-    smoothing_keep: int = 5
-    refine_start_epoch: int = 5  # refinement engages once pseudo-labels settle
-    # printed-sum coefficients, overridable for experiments
-    coeff_base: float = 1.0
-    coeff_dual: float = 1.0
-    coeff_neighbor: float = 1.0
-    # encoder
-    hidden_dim: int = 64
-    embed_dim: int = 32
-    # component toggles
-    enable_dual: bool = True
-    enable_neighbor: bool = True
-    enable_refine: bool = True
-    seed: int = 0
-
-    @property
-    def batch_size(self) -> int:
-        return self.p_classes * self.z_instances
-
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-        # the schedule's largest rate is its first (lr) or its last one
-        try:
-            last_lr = self.lr * self.lr_decay ** max(self.epochs - 1, 0)
-        except OverflowError:
-            last_lr = math.inf
-        checks = [
-            (0.0 <= self.momentum <= 1.0, "momentum must lie in [0, 1]"),
-            (self.lr >= 0.0, "lr must be >= 0"),
-            (self.epochs >= 0, "epochs must be >= 0"),
-            (self.p_classes >= 1 and self.z_instances >= 1, "P and Z must be >= 1"),
-            (self.iters_per_epoch >= 0, "iters_per_epoch must be >= 0"),
-            (self.lr_decay > 0.0, "lr_decay must be positive"),
-            (math.isfinite(last_lr), "lr_decay: the last rate lr * lr_decay ** (epochs - 1) must be finite"),
-            (self.replication >= 1, "replication must be >= 1"),
-            (self.dbscan_eps > 0.0, "dbscan_eps must be positive"),
-            (self.dbscan_min_pts >= 1, "dbscan_min_pts must be >= 1"),
-            (self.temperature > 0.0, "temperature must be positive"),
-            (self.fused_loss_weight >= 0.0, "fused_loss_weight must be >= 0"),
-            (self.long_weight >= 0.0 and self.short_weight >= 0.0, "fusion weights must be >= 0"),
-            (self.long_weight + self.short_weight > 0.0, "fusion weights cannot both be zero"),
-            (self.update_rule in UPDATE_RULES, "unknown update_rule"),
-            (0.0 < self.neighbor_threshold < 1.0, "neighbor_threshold must be in (0, 1)"),
-            (1 <= self.k_strict <= self.k_expanded, "need 1 <= k_strict <= k_expanded"),
-            (self.mutual_weight >= 0.0, "mutual_weight must be >= 0"),
-            (self.consistency_weight >= 0.0, "consistency_weight must be >= 0"),
-            (self.perturb_std >= 0.0, "perturb_std must be >= 0"),
-            (self.rank_depth >= 1, "rank_depth must be >= 1"),
-            (self.smoothing_keep >= 1, "smoothing_keep must be >= 1"),
-            (self.refine_start_epoch >= 0, "refine_start_epoch must be >= 0"),
-            (self.hidden_dim >= 1 and self.embed_dim >= 1, "encoder dims must be >= 1"),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
-        if self.update_rule == "damped" and self.enable_dual and self.momentum >= 0.5:
-            raise ConfigError("damped update rule needs momentum < 0.5")
-
-    def with_ablation(self, name: str) -> "TrainConfig":
-        if name not in ABLATIONS:
-            raise ConfigError(f"unknown ablation {name!r}, expected one of {sorted(ABLATIONS)}")
-        return replace(self, **ABLATIONS[name])
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
 class EpochRecord:
@@ -206,8 +92,8 @@ class Batch:
 
 @dataclass
 class EpochMemories:
-    mem_d: ClusterMemory
-    mem_s: ClusterMemory
+    mem_d: np.ndarray  # centroid banks
+    mem_s: np.ndarray
     dual_d: DualMemory | None = None
     dual_s: DualMemory | None = None
     inst_d: InstanceMemory | None = None
@@ -278,14 +164,6 @@ def total_loss(batch: Batch, memories: EpochMemories, config: TrainConfig) -> To
         value += config.coeff_dual * dual_value
     neighbor_value = 0.0
     if config.enable_neighbor:
-        weights = NeighborWeights(
-            threshold_ratio=config.neighbor_threshold,
-            k_strict=config.k_strict,
-            k_expanded=config.k_expanded,
-            mutual_weight=config.mutual_weight,
-            consistency_weight=config.consistency_weight,
-            temperature=config.temperature,
-        )
         forced_s = None
         if memories.refined is not None:
             # refined labels live on satellite instances, so only satellite
@@ -300,7 +178,7 @@ def total_loss(batch: Batch, memories: EpochMemories, config: TrainConfig) -> To
             batch.sat_rows,
             memories.inst_d,
             memories.inst_s,
-            weights,
+            config,
             forced_s=forced_s,
         )
         neighbor_value = nbr.value
@@ -350,27 +228,18 @@ class Trainer:
         cent_d = compute_centroids(emb_d, labels_d)
         cent_s = compute_centroids(emb_s, labels_s)
         memories = EpochMemories(
-            mem_d=init_memory(cent_d, cfg.momentum, cfg.renormalize_memory),
-            mem_s=init_memory(cent_s, cfg.momentum, cfg.renormalize_memory),
+            mem_d=init_memory(cent_d),
+            mem_s=init_memory(cent_s),
         )
         if cfg.enable_dual:
-            memories.dual_d = init_dual(
-                cent_d, cfg.momentum, cfg.long_weight, cfg.short_weight, cfg.update_rule
-            )
-            memories.dual_s = init_dual(
-                cent_s, cfg.momentum, cfg.long_weight, cfg.short_weight, cfg.update_rule
-            )
+            memories.dual_d = init_dual(cent_d, cfg)
+            memories.dual_s = init_dual(cent_s, cfg)
         if cfg.enable_neighbor:
             memories.inst_d = build_instance_memory(emb_d)
             memories.inst_s = build_instance_memory(emb_s)
         if cfg.enable_refine and self.epoch >= cfg.refine_start_epoch:
-            refine_cfg = PerturbConfig(
-                noise_std=cfg.perturb_std,
-                rank_depth=cfg.rank_depth,
-                smoothing_keep=cfg.smoothing_keep,
-                seed=(cfg.seed * 1_000_003 + self.epoch) & 0xFFFFFFFFFFFFFFFF,
-            )
-            memories.refined = refine_labels(emb_s, emb_d, labels_d, refine_cfg)
+            rng = Rng(cfg.seed * 1_000_003 + self.epoch)
+            memories.refined = refine_labels(emb_s, emb_d, labels_d, cfg, rng)
             memories.labels_d = labels_d
         return memories
 
@@ -423,8 +292,8 @@ class Trainer:
             grads = encoder.backward(self.params, tape_d, losses.drone_grads)
             grads += encoder.backward(self.params, tape_s, losses.sat_grads)
             self.params = encoder.sgd_step(self.params, grads, lr)
-            momentum_update_batch(memories.mem_d, batch.drone_cluster_ids, q_d)
-            momentum_update_batch(memories.mem_s, batch.sat_cluster_ids, q_s)
+            momentum_update_batch(memories.mem_d, batch.drone_cluster_ids, q_d, cfg)
+            momentum_update_batch(memories.mem_s, batch.sat_cluster_ids, q_s, cfg)
             if cfg.enable_dual:
                 for dm, ids, q in (
                     (memories.dual_d, batch.drone_cluster_ids, q_d),
@@ -432,8 +301,8 @@ class Trainer:
                 ):
                     beta = compute_beta(q, dm, ids)
                     update_short_term(dm, beta, ids)
-                    update_long_term_batch(dm, ids, q)
-                    refresh_fused(dm)
+                    update_long_term_batch(dm, ids, q, cfg)
+                    refresh_fused(dm, cfg)
         means = sums / iters
         record = self._evaluate_epoch(labels_d, labels_s, memories, means, started)
         self.epoch += 1

@@ -9,6 +9,7 @@ at-a-time ``reference_blend_chain`` for ``kernels.blend_chain``.
 Below them sit small helpers that only the tests need."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -175,7 +176,7 @@ def mutual_info_loss(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]
 
 
 def reference_total(
-    drone_queries, drone_indices, sat_queries, sat_indices, mem_d, mem_s, weights,
+    drone_queries, drone_indices, sat_queries, sat_indices, mem_d, mem_s, config,
     partners_s=None,
 ):
     """neighborhood_total recomputed one query at a time from the per-query
@@ -185,7 +186,7 @@ def reference_total(
     satellite query i's cross-view threshold set (repeats allowed): the
     per-query form of neighborhood_total's forced_s mask.
     """
-    w = weights
+    w = config
     value = 0.0
     grads = []
     for queries, own, intra, cross, partners in (
@@ -199,7 +200,7 @@ def reference_total(
             forced = None if partners is None else partners[i]
             for mem, skip, extra in ((intra, exclude, None), (cross, None, forced)):
                 k2 = min(w.k_expanded, mem.size - (skip is not None))
-                omega = threshold_neighborhood(q, mem, w.threshold_ratio, exclude=skip)
+                omega = threshold_neighborhood(q, mem, w.neighbor_threshold, exclude=skip)
                 if extra is not None:
                     omega = np.union1d(omega, np.asarray(extra, dtype=np.int64))
                 strict, wide = topk_neighborhoods(q, mem, min(w.k_strict, k2), k2, exclude=skip)
@@ -361,17 +362,6 @@ def noise_count(labels: PseudoLabels) -> int:
 DEFAULTS = TrainConfig()
 
 
-def memory_settings(**overrides) -> dict:
-    """``init_memory``'s settings at the ``TrainConfig`` defaults, with overrides."""
-    return {"momentum": DEFAULTS.momentum, "renormalize": DEFAULTS.renormalize_memory, **overrides}
-
-
-def dual_settings(**overrides) -> dict:
-    """``init_dual``'s settings at the ``TrainConfig`` defaults, with overrides."""
-    return {
-        "momentum": DEFAULTS.momentum,
-        "long_weight": DEFAULTS.long_weight,
-        "short_weight": DEFAULTS.short_weight,
-        "update_rule": DEFAULTS.update_rule,
-        **overrides,
-    }
+def config(**overrides) -> TrainConfig:
+    """The trainer's settings at their defaults, with overrides."""
+    return replace(DEFAULTS, **overrides)

@@ -26,15 +26,15 @@ from crossview.cluster_memory import bank_contrastive_rows, batch_loss_cv, init_
 from crossview.clustering import DbscanParams, PseudoLabels, dbscan
 from crossview.datagen import SyntheticSpec, generate
 from crossview.dual_memory import init_dual
-from crossview.label_refine import PerturbConfig, refine_labels, refinement_agreement
+from crossview.label_refine import refine_labels, refinement_agreement
 from crossview.metrics import average_precision, recall_at_k
 from crossview.neighborhood import build_instance_memory
 from crossview.numcore import Rng
 from reference import (
     alignment_loss,
     consistency_loss,
+    config,
     flatten_grads,
-    memory_settings,
     mutual_info_loss,
     noise_count,
     reference_pipeline,
@@ -42,7 +42,8 @@ from reference import (
     topk_neighborhoods,
     uniform_divergence,
 )
-from crossview.training import ABLATIONS, Batch, EpochMemories, TrainConfig, Trainer, total_loss
+from crossview.config import ABLATIONS
+from crossview.training import Batch, EpochMemories, TrainConfig, Trainer, total_loss
 
 # Canonical end-to-end configuration. The attained values below were
 # recorded from the first green run and act as regression baselines.
@@ -120,12 +121,11 @@ def random_memories(rng: Rng, k, embed, n_inst, m_inst, cfg) -> EpochMemories:
         return nc.l2_normalize_rows(r.normal((rows, embed)))
 
     memories = EpochMemories(
-        mem_d=init_memory(bank(rng.derive(1), k), cfg.momentum, cfg.renormalize_memory),
-        mem_s=init_memory(bank(rng.derive(2), k), cfg.momentum, cfg.renormalize_memory),
+        mem_d=init_memory(bank(rng.derive(1), k)),
+        mem_s=init_memory(bank(rng.derive(2), k)),
     )
-    dual = (cfg.momentum, cfg.long_weight, cfg.short_weight, cfg.update_rule)
-    memories.dual_d = init_dual(bank(rng.derive(3), k), *dual)
-    memories.dual_s = init_dual(bank(rng.derive(4), k), *dual)
+    memories.dual_d = init_dual(bank(rng.derive(3), k), cfg)
+    memories.dual_s = init_dual(bank(rng.derive(4), k), cfg)
     memories.inst_d = build_instance_memory(bank(rng.derive(5), n_inst))
     memories.inst_s = build_instance_memory(bank(rng.derive(6), m_inst))
     return memories
@@ -302,10 +302,10 @@ def test_criterion_3_oracle_equivalence(np_rng):
         raw = np_rng.integers(0, c, size=n)
         raw[:c] = np.arange(c)
         labels = PseudoLabels(labels=raw.astype(np.int64), num_clusters=c)
-        cfg = PerturbConfig(noise_std=0.02, rank_depth=min(5, n), smoothing_keep=5, seed=trial)
+        cfg = config(perturb_std=0.02, rank_depth=min(5, n), smoothing_keep=5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            refined = refine_labels(sat, drone, labels, cfg)
+            refined = refine_labels(sat, drone, labels, cfg, Rng(trial))
             want_scores, want_hard = reference_pipeline(
                 sat, drone, labels, depth=min(5, n), keep=5, noise_std=0.02, seed=trial
             )
@@ -338,8 +338,8 @@ def test_criterion_4_closed_form_losses(np_rng):
         val, _ = mutual_info_loss(np_rng.standard_normal(4), mem_i, picked)
         assert -np.log(k1) - 1e-12 <= val <= 1e-12
     # two-prototype contrastive instance: ln(1 + e^-1)
-    bank = init_memory(np.eye(2), **memory_settings())
-    value, _ = bank_contrastive_rows(np.array([[1.0, 0.0]]), bank.centroids, [0], 1.0)
+    bank = init_memory(np.eye(2))
+    value, _ = bank_contrastive_rows(np.array([[1.0, 0.0]]), bank, [0], 1.0)
     assert value[0] == pytest.approx(np.log(1.0 + np.exp(-1.0)), abs=1e-9)
     print("ACCEPTANCE 4: PASS (closed-form loss identities hold to stated tolerances)")
 
@@ -432,7 +432,8 @@ def test_criterion_8_refinement_recovers_separable_corpus():
         corpus.sat_raw,
         corpus.drone_raw,
         labels,
-        PerturbConfig(noise_std=0.01, rank_depth=6, smoothing_keep=5, seed=3),
+        config(perturb_std=0.01, rank_depth=6, smoothing_keep=5),
+        Rng(3),
     )
     assert refinement_agreement(refined.hard, labels, gt_d, gt_s) == 1.0
     print("ACCEPTANCE 8: PASS (refined labels match ground-truth grouping exactly)")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from crossview.cli import build_parser, main, resolve_config
-from crossview.datagen import Corpus, SyntheticSpec, generate, load_corpus, save_corpus
-from crossview.encoder import init_params, load_params, save_params
+from crossview.datagen import Corpus, SyntheticSpec, generate, load_corpus, save_corpus, save_features
+from crossview.encoder import EncoderParams, init_params, load_params, save_params
 from crossview.numcore import Rng
 from crossview.training import TrainConfig
 
@@ -232,6 +232,30 @@ class TestTrain:
         assert run_cli(argv) == 2
         assert f"{blocker}: cannot create output directory" in capsys.readouterr().err
 
+    def test_diverging_lr_exit_4(self, tmp_path, capsys):
+        argv = [
+            "train", "--out", str(tmp_path / "r"), "--locations", "4", "--epochs", "2",
+            "--iters-per-epoch", "2", "--p-classes", "2", "--lr", "1e300",
+        ]
+        assert run_cli(argv) == 4
+        assert "non-finite norm" in capsys.readouterr().err
+
+    def test_empty_feature_files_exit_3_before_writing(self, tmp_path, capsys):
+        views = {
+            "no-columns": (np.zeros((4, 0)), np.zeros((4, 0))),
+            "no-rows": (np.zeros((0, 8)), np.ones((4, 8))),
+        }
+        for name, (drone, sat) in views.items():
+            data = tmp_path / name
+            data.mkdir()
+            save_features(data / "drone.dmfv", "drone", drone)
+            save_features(data / "satellite.dmfv", "satellite", sat)
+            out = tmp_path / f"run-{name}"
+            argv = ["train", "--out", str(out), "--corpus-dir", str(data), "--ablation", "baseline"]
+            assert run_cli(argv) == 3
+            assert "drone view is empty" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+
     def test_one_row_view_with_neighbor_losses_exit_3(self, tmp_path):
         # one location gives a single satellite row: no intra-view neighbour exists
         argv = ["train", "--out", str(tmp_path / "r"), "--locations", "1", "--epochs", "1"]
@@ -293,9 +317,20 @@ class TestEval:
     def test_corrupt_checkpoint_exit_3(self, tmp_path):
         bad = tmp_path / "bad.dmpw"
         bad.write_bytes(b"XXXX" + b"\x00" * 64)
-        # corrupt bytes, a missing file, and a directory in place of the file
-        for checkpoint in (bad, tmp_path / "nowhere.dmpw", tmp_path):
-            argv = ["eval", "--checkpoint", str(checkpoint), "--corpus-dir", str(tmp_path)]
+        data = tmp_path / "data"
+        run_cli(["generate", "--out", str(data), "--locations", "4", "--latent-dim", "3", "--input-dim", "6"])
+        zero_dims = []
+        for hidden, embed in ((0, 3), (4, 0)):
+            path = tmp_path / f"zero-{hidden}x{embed}.dmpw"
+            save_params(
+                EncoderParams(np.zeros((hidden, 6)), np.zeros(hidden), np.ones((embed, hidden)), np.ones(embed)),
+                path,
+            )
+            zero_dims.append(path)
+        # corrupt bytes, a missing file, a directory in place of the file, and
+        # a zero hidden or embedding dimension, against a corpus that fits
+        for checkpoint in (bad, tmp_path / "nowhere.dmpw", tmp_path, *zero_dims):
+            argv = ["eval", "--checkpoint", str(checkpoint), "--corpus-dir", str(data)]
             assert run_cli(argv) == 3
 
     def test_dim_mismatch_exit_3(self, tmp_path):

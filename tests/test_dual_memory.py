@@ -12,70 +12,76 @@ from crossview.dual_memory import (
     update_short_term,
 )
 from crossview.training import Batch, EpochMemories, TrainConfig, total_loss
-from reference import dual_settings, memory_settings
+from reference import config
 
 
-def make_dual(np_rng=None, k=3, d=4, **kwargs):
+def make_dual(np_rng=None, k=3, d=4, cfg=config()):
     if np_rng is None:
         cents = np.eye(max(k, d))[:k, :d]
     else:
         cents = unit_rows(np_rng, k, d)
-    return init_dual(cents, **dual_settings(**kwargs))
+    return init_dual(cents, cfg)
 
 
 class TestInit:
     def test_banks_start_at_centroids(self, np_rng):
         cents = unit_rows(np_rng, 3, 5)
-        dm = init_dual(cents, **dual_settings())
+        dm = init_dual(cents, config())
         np.testing.assert_array_equal(dm.short_term, cents)
         np.testing.assert_array_equal(dm.long_term, cents)
 
     def test_equal_weights_fused_equals_centroids(self, np_rng):
         cents = unit_rows(np_rng, 3, 5)
-        dm = init_dual(cents, **dual_settings(long_weight=0.5, short_weight=0.5))
+        dm = init_dual(cents, config(long_weight=0.5, short_weight=0.5))
         np.testing.assert_allclose(dm.fused, cents, atol=1e-12)
 
     def test_deterministic_reinit(self, np_rng):
         cents = unit_rows(np_rng, 4, 3)
-        a = init_dual(cents, **dual_settings())
-        b = init_dual(cents, **dual_settings())
+        a = init_dual(cents, config())
+        b = init_dual(cents, config())
         np.testing.assert_array_equal(a.fused, b.fused)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            init_dual(np.zeros((0, 2)), **dual_settings())
+            init_dual(np.zeros((0, 2)), config())
 
 
 class TestLongTermUpdate:
     def test_hand_value_damped(self):
-        dm = init_dual(np.eye(2), **dual_settings(momentum=0.2))
-        update_long_term_batch(dm, [0], np.array([[0.0, 1.0]]))
+        cfg = config(momentum=0.2)
+        dm = init_dual(np.eye(2), cfg)
+        update_long_term_batch(dm, [0], np.array([[0.0, 1.0]]), cfg)
         np.testing.assert_allclose(dm.long_term[0], [0.83205029, 0.55470020], atol=1e-8)
 
     def test_query_equal_to_row_keeps_direction(self):
-        dm = init_dual(np.eye(2), **dual_settings(momentum=0.2))
-        update_long_term_batch(dm, [1], np.array([[0.0, 1.0]]))
+        cfg = config(momentum=0.2)
+        dm = init_dual(np.eye(2), cfg)
+        update_long_term_batch(dm, [1], np.array([[0.0, 1.0]]), cfg)
         np.testing.assert_allclose(dm.long_term[1], [0.0, 1.0], atol=1e-12)
 
     def test_zero_momentum_keeps_direction(self):
-        dm = init_dual(np.eye(2), **dual_settings(momentum=0.0))
-        update_long_term_batch(dm, [0], np.array([[0.0, 1.0]]))
+        cfg = config(momentum=0.0)
+        dm = init_dual(np.eye(2), cfg)
+        update_long_term_batch(dm, [0], np.array([[0.0, 1.0]]), cfg)
         np.testing.assert_allclose(dm.long_term[0], [1.0, 0.0], atol=1e-12)
 
     def test_normalized_rule_same_direction_as_damped(self, np_rng):
         cents = unit_rows(np_rng, 2, 4)
         q = unit_rows(np_rng, 1, 4)
-        damped = init_dual(cents, **dual_settings(momentum=0.2, update_rule="damped"))
-        normed = init_dual(cents, **dual_settings(momentum=0.2, update_rule="normalized"))
-        update_long_term_batch(damped, [0], q)
-        update_long_term_batch(normed, [0], q)
+        damped_cfg = config(momentum=0.2, update_rule="damped")
+        normed_cfg = config(momentum=0.2, update_rule="normalized")
+        damped = init_dual(cents, damped_cfg)
+        normed = init_dual(cents, normed_cfg)
+        update_long_term_batch(damped, [0], q, damped_cfg)
+        update_long_term_batch(normed, [0], q, normed_cfg)
         np.testing.assert_allclose(damped.long_term[0], normed.long_term[0], atol=1e-12)
 
     def test_banks_stay_unit(self, np_rng):
         for rule in ("damped", "normalized"):
-            dm = make_dual(np_rng, update_rule=rule, momentum=0.2)
+            cfg = config(update_rule=rule, momentum=0.2)
+            dm = make_dual(np_rng, cfg=cfg)
             for _ in range(30):
-                update_long_term_batch(dm, [int(np_rng.integers(3))], unit_rows(np_rng, 1, 4))
+                update_long_term_batch(dm, [int(np_rng.integers(3))], unit_rows(np_rng, 1, 4), cfg)
             np.testing.assert_allclose(np.linalg.norm(dm.long_term, axis=1), 1.0, atol=1e-12)
 
 
@@ -86,7 +92,7 @@ class TestBeta:
         assert compute_beta(dm.long_term[ids], dm, ids) == pytest.approx(0.5, abs=1e-12)
 
     def test_hand_value(self):
-        dm = init_dual(np.eye(2), **dual_settings(momentum=0.2))
+        dm = init_dual(np.eye(2), config(momentum=0.2))
         # one query at distance ln(3) from its long-term row
         q = np.array([1.0, np.log(3.0)])
         assert compute_beta(q[None, :], dm, [0]) == pytest.approx(0.75, abs=1e-12)
@@ -119,13 +125,13 @@ class TestShortTermUpdate:
     def test_beta_zero_keeps_short(self, np_rng):
         dm = make_dual(np_rng)
         before = dm.short_term.copy()
-        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4))
+        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4), config())
         update_short_term(dm, 0.0, [0, 1])
         np.testing.assert_allclose(dm.short_term, before, atol=1e-12)
 
     def test_beta_one_copies_long(self, np_rng):
         dm = make_dual(np_rng)
-        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4))
+        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4), config())
         update_short_term(dm, 1.0, [0])
         np.testing.assert_allclose(dm.short_term[0], dm.long_term[0], atol=1e-12)
 
@@ -137,8 +143,8 @@ class TestShortTermUpdate:
 
     def test_only_batch_present_rows_move(self, np_rng):
         dm = make_dual(np_rng)
-        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4))
-        update_long_term_batch(dm, [2], unit_rows(np_rng, 1, 4))
+        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4), config())
+        update_long_term_batch(dm, [2], unit_rows(np_rng, 1, 4), config())
         before = dm.short_term.copy()
         update_short_term(dm, 0.8, [0])
         np.testing.assert_array_equal(dm.short_term[1], before[1])
@@ -147,22 +153,25 @@ class TestShortTermUpdate:
 
 class TestFusion:
     def test_long_only(self, np_rng):
-        dm = make_dual(np_rng, long_weight=1.0, short_weight=0.0)
-        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4))
-        refresh_fused(dm)
+        cfg = config(long_weight=1.0, short_weight=0.0)
+        dm = make_dual(np_rng, cfg=cfg)
+        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4), cfg)
+        refresh_fused(dm, cfg)
         np.testing.assert_allclose(dm.fused, dm.long_term, atol=1e-12)
 
     def test_hand_value(self):
-        dm = init_dual(np.eye(2), **dual_settings(momentum=0.2))
+        cfg = config(momentum=0.2)
+        dm = init_dual(np.eye(2), cfg)
         dm.long_term = np.array([[1.0, 0.0]])
         dm.short_term = np.array([[0.0, 1.0]])
-        refresh_fused(dm)
+        refresh_fused(dm, cfg)
         np.testing.assert_allclose(dm.fused, [[0.70710678, 0.70710678]], atol=1e-8)
 
     def test_rows_unit(self, np_rng):
-        dm = make_dual(np_rng, long_weight=0.7, short_weight=0.3)
-        update_long_term_batch(dm, [1], unit_rows(np_rng, 1, 4))
-        refresh_fused(dm)
+        cfg = config(long_weight=0.7, short_weight=0.3)
+        dm = make_dual(np_rng, cfg=cfg)
+        update_long_term_batch(dm, [1], unit_rows(np_rng, 1, 4), cfg)
+        refresh_fused(dm, cfg)
         np.testing.assert_allclose(np.linalg.norm(dm.fused, axis=1), 1.0, atol=1e-12)
 
 
@@ -171,11 +180,11 @@ def dual_total(np_rng, fused_loss_weight):
     the batch's base contrastive loss."""
     cents = unit_rows(np_rng, 3, 4)
     q, ids, rows = np_rng.standard_normal((2, 4)), [1, 2], [0, 1]
-    banks = [init_memory(cents, **memory_settings()) for _ in range(2)]
-    duals = [init_dual(cents, **dual_settings()) for _ in range(2)]
+    banks = [init_memory(cents) for _ in range(2)]
+    duals = [init_dual(cents, config()) for _ in range(2)]
     mem = EpochMemories(*banks, *duals)
-    config = TrainConfig(temperature=0.2, fused_loss_weight=fused_loss_weight, enable_neighbor=False)
-    out = total_loss(Batch(q, ids, rows, q, ids, rows), mem, config)
+    cfg = TrainConfig(temperature=0.2, fused_loss_weight=fused_loss_weight, enable_neighbor=False)
+    out = total_loss(Batch(q, ids, rows, q, ids, rows), mem, cfg)
     return out, batch_loss_cv(q, ids, q, ids, *banks, 0.2)
 
 
@@ -187,7 +196,7 @@ class TestCombinedLoss:
         np.testing.assert_allclose(out.sat_grads - 2.0 * base.sat_grads, 0.0, atol=1e-15)
 
     def test_single_cluster_fused_term_zero(self, np_rng):
-        dm = init_dual(unit_rows(np_rng, 1, 4), **dual_settings())
+        dm = init_dual(unit_rows(np_rng, 1, 4), config())
         q = unit_rows(np_rng, 1, 4)
         value, _ = fused_bank_loss(q, dm, [0], 0.5)
         assert value[0] == pytest.approx(0.0, abs=1e-15)
@@ -200,7 +209,7 @@ class TestCombinedLoss:
     def test_gradient_matches_finite_differences(self, np_rng):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            dm = init_dual(unit_rows(rng, 4, 5), **dual_settings())
+            dm = init_dual(unit_rows(rng, 4, 5), config())
             q0 = rng.standard_normal((1, 5))
 
             def value(q):
@@ -212,11 +221,12 @@ class TestCombinedLoss:
     def test_all_equal_state_is_update_fixed_point(self, np_rng):
         cents = unit_rows(np_rng, 3, 4)
         for rule in ("damped", "normalized"):
-            dm = init_dual(cents, **dual_settings(momentum=0.2, update_rule=rule))
+            cfg = config(momentum=0.2, update_rule=rule)
+            dm = init_dual(cents, cfg)
             for k in range(3):
-                update_long_term_batch(dm, [k], cents[k : k + 1])
+                update_long_term_batch(dm, [k], cents[k : k + 1], cfg)
             update_short_term(dm, compute_beta(cents, dm, [0, 1, 2]), [0, 1, 2])
-            refresh_fused(dm)
+            refresh_fused(dm, cfg)
             np.testing.assert_allclose(dm.long_term, cents, atol=1e-12)
             np.testing.assert_allclose(dm.short_term, cents, atol=1e-12)
             np.testing.assert_allclose(dm.fused, cents, atol=1e-12)

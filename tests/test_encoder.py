@@ -46,11 +46,16 @@ class TestForward:
             encoder.forward(params, np.zeros((3, 99)))
 
     def test_collapse_detected(self):
-        params = encoder.EncoderParams(
+        zero = encoder.EncoderParams(
             w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)), b2=np.zeros(2)
         )
-        with pytest.raises(DegenerateInputError):
-            encoder.forward(params, np.ones((1, 2)))
+        # finite outputs whose squared norm overflows: dividing by it would give a zero row
+        huge = encoder.EncoderParams(
+            w1=np.zeros((2, 2)), b1=np.ones(2), w2=np.full((2, 2), 1e300), b2=np.zeros(2)
+        )
+        for params, error in ((zero, DegenerateInputError), (huge, NumericError)):
+            with pytest.raises(error):
+                encoder.forward(params, np.ones((1, 2)))
 
     def test_view_order_does_not_matter(self):
         # weight sharing: the same rows embed identically whether they come

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import unit_rows
 from crossview.clustering import NOISE, PseudoLabels
 from crossview.label_refine import (
-    PerturbConfig,
     consistency_vote,
     one_hot,
     perturb,
@@ -16,7 +15,7 @@ from crossview.label_refine import (
     smooth_labels,
 )
 from crossview.numcore import Rng
-from reference import reference_pipeline, reference_vote
+from reference import config, reference_pipeline, reference_vote
 
 
 class TestPerturb:
@@ -173,12 +172,12 @@ class TestPipeline:
             n = int(np_rng.integers(6, 33))
             c = int(np_rng.integers(1, 6))
             sat, drone, labels = self.make_instance(np_rng, m=m, n=n, c=c)
-            cfg = PerturbConfig(noise_std=0.02, rank_depth=5, smoothing_keep=5, seed=trial)
+            cfg, rng = config(perturb_std=0.02, rank_depth=5, smoothing_keep=5), Rng(trial)
             import warnings
 
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                refined = refine_labels(sat, drone, labels, cfg)
+                refined = refine_labels(sat, drone, labels, cfg, rng)
                 want_scores, want_hard = reference_pipeline(
                     sat, drone, labels, depth=min(5, n), keep=5, noise_std=0.02, seed=trial
                 )
@@ -197,18 +196,18 @@ class TestPipeline:
 
     def test_deterministic_per_seed(self, np_rng):
         sat, drone, labels = self.make_instance(np_rng)
-        cfg = PerturbConfig(noise_std=0.05, rank_depth=4, smoothing_keep=4, seed=11)
-        a = refine_labels(sat, drone, labels, cfg)
-        b = refine_labels(sat, drone, labels, cfg)
+        cfg, rng = config(perturb_std=0.05, rank_depth=4, smoothing_keep=4), Rng(11)
+        a = refine_labels(sat, drone, labels, cfg, rng)
+        b = refine_labels(sat, drone, labels, cfg, rng)
         np.testing.assert_array_equal(a.hard, b.hard)
 
     def test_gallery_permutation_invariance(self, np_rng):
         sat, drone, labels = self.make_instance(np_rng)
-        cfg = PerturbConfig(noise_std=0.0, rank_depth=5, smoothing_keep=4, seed=0)
-        base = refine_labels(sat, drone, labels, cfg)
+        cfg, rng = config(perturb_std=0.0, rank_depth=5, smoothing_keep=4), Rng(0)
+        base = refine_labels(sat, drone, labels, cfg, rng)
         perm = np_rng.permutation(drone.shape[0])
         permuted_labels = PseudoLabels(labels=labels.labels[perm], num_clusters=labels.num_clusters)
-        out = refine_labels(sat, drone[perm], permuted_labels, cfg)
+        out = refine_labels(sat, drone[perm], permuted_labels, cfg, rng)
         np.testing.assert_array_equal(base.hard, out.hard)
 
     def test_noiseless_separable_recovers_ground_truth(self):
@@ -222,8 +221,8 @@ class TestPipeline:
         drone_loc = np.repeat(np.arange(locs), 4)
         sat_loc = np.arange(locs)
         labels = PseudoLabels(labels=drone_loc.copy(), num_clusters=locs)
-        cfg = PerturbConfig(noise_std=0.005, rank_depth=4, smoothing_keep=1, seed=2)
-        refined = refine_labels(sat, drone, labels, cfg)
+        cfg, rng = config(perturb_std=0.005, rank_depth=4, smoothing_keep=1), Rng(2)
+        refined = refine_labels(sat, drone, labels, cfg, rng)
         np.testing.assert_array_equal(refined.hard, sat_loc)
         assert refinement_agreement(refined.hard, labels, drone_loc, sat_loc) == 1.0
 

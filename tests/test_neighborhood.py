@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference, rel_error, unit_rows
-from crossview.neighborhood import NeighborWeights, build_instance_memory, neighborhood_total
+from crossview.neighborhood import build_instance_memory, neighborhood_total
 from reference import (
     alignment_loss,
+    config,
     consistency_loss,
     mutual_info_loss,
     reference_total,
@@ -273,8 +274,8 @@ class TestCombination:
 
     def test_zero_weights_reduce_to_alignment_sum(self, np_rng):
         mem_d, mem_s, qd, rd, qs, rs = self.make_batches(np_rng)
-        w = NeighborWeights(
-            threshold_ratio=0.7, k_strict=2, k_expanded=4, mutual_weight=0.0,
+        w = config(
+            neighbor_threshold=0.7, k_strict=2, k_expanded=4, mutual_weight=0.0,
             consistency_weight=0.0, temperature=0.2,
         )
         out = neighborhood_total(qd, rd, qs, rs, mem_d, mem_s, w)
@@ -300,8 +301,8 @@ class TestCombination:
         mem_d = build_instance_memory(rows)
         mem_s = build_instance_memory(rows)
         q = unit_rows(np_rng, 1, 4)
-        w = NeighborWeights(
-            threshold_ratio=0.6, k_strict=2, k_expanded=4,
+        w = config(
+            neighbor_threshold=0.6, k_strict=2, k_expanded=4,
             mutual_weight=1.0, consistency_weight=1.0, temperature=0.3,
         )
         # index -1 marks a query outside the memory: no self-exclusion
@@ -316,8 +317,8 @@ class TestCombination:
 
     def test_forced_cross_inclusion_changes_set(self, np_rng):
         mem_d, mem_s, qd, rd, qs, rs = self.make_batches(np_rng, bd=0, bs=1)
-        w = NeighborWeights(
-            threshold_ratio=0.95, k_strict=1, k_expanded=2, mutual_weight=0.0,
+        w = config(
+            neighbor_threshold=0.95, k_strict=1, k_expanded=2, mutual_weight=0.0,
             consistency_weight=0.0, temperature=0.2,
         )
         plain = neighborhood_total(qd, rd, qs, rs, mem_d, mem_s, w)
@@ -330,8 +331,8 @@ class TestCombination:
     def test_gradients_match_finite_differences(self, np_rng):
         # selections are recomputed inside the probe, so this exercises the
         # full piecewise-smooth objective at generic points
-        w = NeighborWeights(
-            threshold_ratio=0.8, k_strict=2, k_expanded=4,
+        w = config(
+            neighbor_threshold=0.8, k_strict=2, k_expanded=4,
             mutual_weight=0.7, consistency_weight=1.3, temperature=0.25,
         )
         for seed in range(5):
@@ -397,8 +398,8 @@ class TestCombination:
 def reference_case(kind):
     """Inputs to neighborhood_total, named as its keyword arguments."""
     rng = np.random.default_rng(7)
-    w = NeighborWeights(
-        threshold_ratio=0.7, k_strict=2, k_expanded=4,
+    w = config(
+        neighbor_threshold=0.7, k_strict=2, k_expanded=4,
         mutual_weight=0.7, consistency_weight=1.3, temperature=0.2,
     )
     case = dict(
@@ -406,7 +407,7 @@ def reference_case(kind):
         sat_queries=rng.standard_normal((2, 4)), sat_indices=np.array([-1, 5]),
         mem_d=planted_memory(rng, 9, 4),
         mem_s=build_instance_memory(unit_rows(rng, 7, 4)),
-        weights=w,
+        config=w,
     )
     if kind == "ties":
         # each view's first query ranks row 0 of either memory first and rows
@@ -421,13 +422,13 @@ def reference_case(kind):
             sat_indices=np.array([4, -1]),
             mem_d=axis_memory([2, 0, 1, 1, 1, 3]),
             mem_s=axis_memory([2, 0, 1, 1, 1, 3]),
-            weights=NeighborWeights(
-                threshold_ratio=0.8, k_strict=2, k_expanded=3,
+            config=config(
+                neighbor_threshold=0.8, k_strict=2, k_expanded=3,
                 mutual_weight=0.7, consistency_weight=1.3, temperature=0.2,
             ),
         )
     elif kind == "forced":
-        om = threshold_neighborhood(case["sat_queries"][0], case["mem_d"], w.threshold_ratio)
+        om = threshold_neighborhood(case["sat_queries"][0], case["mem_d"], w.neighbor_threshold)
         outside = [u for u in range(case["mem_d"].size) if u not in om.tolist()][0]
         # one partner already in the threshold set, one outside it, both repeated
         case["partners_s"] = [np.array([om[0], outside, om[0], outside]), None]
@@ -453,8 +454,8 @@ class TestBatchMatchesReference:
         # satellite-to-drone direction clamps to 5 too; the 7-row satellite
         # memory has room in both of its directions
         case = reference_case("random")
-        case["weights"] = NeighborWeights(
-            threshold_ratio=0.7, k_strict=3, k_expanded=6,
+        case["config"] = config(
+            neighbor_threshold=0.7, k_strict=3, k_expanded=6,
             mutual_weight=0.7, consistency_weight=1.3, temperature=0.2,
         )
         case["mem_d"] = planted_memory(np.random.default_rng(8), 5, 4)
@@ -485,8 +486,8 @@ def test_tie_heavy_batches_match_reference(data):
     rd = np.array([data.draw(st.integers(-1, n - 1)) for _ in qd])
     rs = np.array([data.draw(st.integers(-1, m - 1)) for _ in qs])
     k_strict = data.draw(st.integers(1, 4), label="k_strict")
-    w = NeighborWeights(
-        threshold_ratio=data.draw(st.floats(0.05, 0.95)),
+    w = config(
+        neighbor_threshold=data.draw(st.floats(0.05, 0.95)),
         k_strict=k_strict,
         k_expanded=data.draw(st.integers(k_strict, 9), label="k_expanded"),
         mutual_weight=data.draw(st.floats(0.0, 2.0)),
@@ -497,5 +498,5 @@ def test_tie_heavy_batches_match_reference(data):
     partners = data.draw(st.none() | st.lists(forced, min_size=len(qs), max_size=len(qs)))
     assert_matches_reference(dict(
         drone_queries=qd, drone_indices=rd, sat_queries=qs, sat_indices=rs,
-        mem_d=mem_d, mem_s=mem_s, weights=w, partners_s=partners,
+        mem_d=mem_d, mem_s=mem_s, config=w, partners_s=partners,
     ))

@@ -1,13 +1,22 @@
-"""No function in ``src/crossview`` gives a parameter a default value of its
-own, so a trainer setting's default lives only in ``TrainConfig``.
+"""``TrainConfig`` is the only home of the trainer's settings.
 
+No function in ``src/crossview`` gives a parameter a default value of its
+own, so a trainer setting's default lives only in ``TrainConfig``.
 A default of ``None`` means "not given" and is always allowed. Otherwise
 only the arguments below may carry one: the labels that ``as_matrix`` and
 ``ensure_finite`` put into their error messages, and ``Rng``'s key path and
-draw arguments. None of them is a training setting."""
+draw arguments. None of them is a training setting.
+
+No other dataclass keeps a copy of a setting under its ``TrainConfig``
+name: a layer takes the config, or the one value it needs as an argument.
+``SyntheticSpec`` describes a corpus, and its ``seed`` is the corpus's own."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from crossview.config import TrainConfig
+from test_unread_fields import _is_dataclass
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "crossview"
 
@@ -50,4 +59,21 @@ def test_no_parameter_repeats_a_setting_default():
                 continue
             if (path.stem, function, param) not in ALLOWED:
                 found.append(f"{path.stem}.{function}({param}={ast.unparse(default)})")
+    assert found == []
+
+
+def test_no_dataclass_copies_a_setting():
+    settings = {f.name for f in fields(TrainConfig)}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
+                continue
+            if node.name in ("TrainConfig", "SyntheticSpec"):
+                continue
+            found += [
+                f"{node.name}.{stmt.target.id}"
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) in settings
+            ]
     assert found == []

@@ -21,10 +21,10 @@ from crossview.clustering import (
 from crossview.datagen import Corpus, SyntheticSpec, generate
 from crossview.errors import ClusteringError, ConfigError
 from crossview.label_refine import RefinedLabels
-from crossview.neighborhood import NeighborWeights, build_instance_memory
+from crossview.neighborhood import build_instance_memory
 from crossview.numcore import Rng
+from crossview.config import ABLATIONS
 from crossview.training import (
-    ABLATIONS,
     Batch,
     EpochMemories,
     TrainConfig,
@@ -34,7 +34,7 @@ from crossview.training import (
     total_loss,
     write_metrics,
 )
-from reference import memory_settings, reference_total
+from reference import reference_total
 
 
 def tiny_config(**overrides):
@@ -263,8 +263,8 @@ class TestRefinedPartners:
         inst_d = build_instance_memory(unit_rows(rng, 10, 4))
         inst_s = build_instance_memory(unit_rows(rng, 6, 4))
         memories = EpochMemories(
-            mem_d=init_memory(unit_rows(rng, 4, 4), **memory_settings()),
-            mem_s=init_memory(unit_rows(rng, 3, 4), **memory_settings()),
+            mem_d=init_memory(unit_rows(rng, 4, 4)),
+            mem_s=init_memory(unit_rows(rng, 3, 4)),
             inst_d=inst_d,
             inst_s=inst_s,
             refined=RefinedLabels(scores=np.eye(4)[hard], hard=hard),
@@ -279,14 +279,9 @@ class TestRefinedPartners:
             sat_cluster_ids=np.array([0, 2, 2, 1]),
             sat_rows=sat_rows,
         )
-        weights = NeighborWeights(
-            threshold_ratio=cfg.neighbor_threshold, k_strict=cfg.k_strict,
-            k_expanded=cfg.k_expanded, mutual_weight=cfg.mutual_weight,
-            consistency_weight=cfg.consistency_weight, temperature=cfg.temperature,
-        )
         partners = [np.flatnonzero(labels_d.labels == hard[row]) for row in sat_rows]
         value, gd, gs = reference_total(
-            batch.drone_emb, drone_rows, batch.sat_emb, sat_rows, inst_d, inst_s, weights,
+            batch.drone_emb, drone_rows, batch.sat_emb, sat_rows, inst_d, inst_s, cfg,
             partners_s=partners,
         )
         got = total_loss(batch, memories, cfg)
