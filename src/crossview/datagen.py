@@ -189,6 +189,12 @@ def load_corpus(drone_path, sat_path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, drone_path, sat_path) -> None:
+    """Write both view files. A view that float32 cannot hold, which
+    ``load_feature_file`` would reject, fails before either file is opened."""
+    for view, raw in (("drone", corpus.drone_raw), ("satellite", corpus.sat_raw)):
+        with np.errstate(over="ignore"):  # the overflow is the error raised here
+            if not np.isfinite(raw.astype("<f4")).all():
+                raise NonFiniteDataError(f"{view} features do not fit float32")
     labels_d = labels_s = None
     if corpus.has_ground_truth:
         labels_d, labels_s = corpus.ground_truth()

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .cluster_memory import bank_contrastive_rows
 from .config import TrainConfig
-from .numcore import as_matrix, l2_normalize_rows, sigmoid
+from .numcore import as_matrix, l2_normalize_rows, row_norms
 
 
 @dataclass
@@ -64,7 +64,8 @@ def update_long_term_batch(dm: DualMemory, cluster_ids, queries, config: TrainCo
 
 
 def compute_beta(batch_queries, dm: DualMemory, cluster_ids) -> float:
-    """Adaptive coefficient: sigmoid of the mean query-to-long-term distance."""
+    """Adaptive coefficient 1 / (1 + exp(-d)), d the mean query-to-long-term
+    distance; d >= 0, so exp(-d) cannot overflow."""
     batch_queries = as_matrix(batch_queries, "queries")
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
     if batch_queries.shape[0] == 0:
@@ -72,8 +73,8 @@ def compute_beta(batch_queries, dm: DualMemory, cluster_ids) -> float:
     if cluster_ids.min() < 0 or cluster_ids.max() >= dm.num_clusters:
         raise ValueError("cluster id out of range")
     diffs = batch_queries - dm.long_term[cluster_ids]
-    mean_dist = float(np.sqrt(np.einsum("ij,ij->i", diffs, diffs)).mean())
-    return float(sigmoid(mean_dist))
+    mean_dist = float(row_norms(diffs).mean())
+    return float(1.0 / (1.0 + np.exp(-mean_dist)))
 
 
 def update_short_term(dm: DualMemory, beta: float, clusters_in_batch) -> DualMemory:

@@ -19,7 +19,7 @@ from .errors import (
     NumericError,
     TruncatedFileError,
 )
-from .numcore import Rng, as_matrix, ensure_finite
+from .numcore import Rng, as_matrix, ensure_finite, row_norms
 
 COLLAPSE_NORM = 1e-12
 
@@ -97,7 +97,7 @@ def forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
         )
     hidden = np.tanh(X @ params.w1.T + params.b1)
     u = hidden @ params.w2.T + params.b2
-    norms = np.sqrt(np.einsum("ij,ij->i", u, u))
+    norms = row_norms(u)
     # a norm that overflows to inf would divide its row to zeros
     if not np.isfinite(norms).all():
         bad = int(np.flatnonzero(~np.isfinite(norms))[0])

@@ -4,8 +4,8 @@ Satellite instances get a drone-cluster label in four steps: perturb both
 views with Gaussian noise, rank the drone gallery for each satellite
 instance on original and perturbed features independently, vote on the
 label whose agreement count between the two rankings is largest, then
-smooth the one-hot votes with a binary intra-view similarity mask that
-keeps the top entries of the summed original+perturbed similarity matrix.
+score each label by the votes of the instances that rank highest in the
+instance's row of the summed original+perturbed similarity matrix.
 
 Refinement runs once per epoch on frozen features and is consumed only as
 an augmentation of the cross-view threshold neighborhoods; intra-view
@@ -74,35 +74,28 @@ def consistency_vote(list_orig, list_pert) -> np.ndarray:
     return np.where(agreed, values[best], list_orig[:, 0])
 
 
-def one_hot(labels, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError("label out of range for one-hot encoding")
-    out = np.zeros((labels.size, num_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
-def smooth_labels(sat_feats, sat_feats_pert, refined_one_hot, keep: int) -> RefinedLabels:
-    """Spread one-hot votes along the strongest intra-view similarities.
+def smooth_labels(sat_feats, sat_feats_pert, votes, num_classes: int, keep: int) -> RefinedLabels:
+    """Spread the votes along the strongest intra-view similarities.
 
     The original and perturbed satellite-satellite similarity matrices are
-    summed; per row the ``keep`` largest entries become 1 (the self entry
-    competes like any other) and the binary mask multiplies the one-hot
-    matrix. Hard labels are row argmaxes, lowest index winning ties.
+    summed; per row the ``keep`` largest entries are kept (the self entry
+    competes like any other), and scores[i, c] counts the kept rows of row
+    i that voted c. Hard labels are row argmaxes, lowest index winning ties.
     """
-    refined_one_hot = as_matrix(refined_one_hot, "refined one-hot")
+    votes = np.asarray(votes, dtype=np.int64)
+    if votes.size and (votes.min() < 0 or votes.max() >= num_classes):
+        raise ValueError(f"vote out of range for {num_classes} classes")
     combined = pairwise_sim(sat_feats, sat_feats) + pairwise_sim(sat_feats_pert, sat_feats_pert)
     m = combined.shape[0]
-    if refined_one_hot.shape[0] != m:
-        raise ValueError("one-hot rows must match satellite count")
+    if votes.size != m:
+        raise ValueError("votes must match satellite count")
     if keep > m:
         warnings.warn(f"smoothing keep clamped from {keep} to {m} rows", stacklevel=2)
         keep = m
-    mask = np.zeros_like(combined)
+    scores = np.zeros((m, num_classes))
     if m:
-        np.put_along_axis(mask, top_k_indices(combined, keep), 1.0, axis=1)
-    scores = mask @ refined_one_hot
+        # each of row i's kept rows adds one to row i's score of its vote
+        np.add.at(scores, (np.arange(m)[:, None], votes[top_k_indices(combined, keep)]), 1.0)
     hard = scores.argmax(axis=1).astype(np.int64)
     return RefinedLabels(scores=scores, hard=hard)
 
@@ -126,8 +119,9 @@ def refine_labels(
     lists_orig = rank_label_lists(sat_feats, drone_feats, drone_labels, depth)
     lists_pert = rank_label_lists(sat_pert, drone_pert, drone_labels, depth)
     voted = consistency_vote(lists_orig, lists_pert)
-    encoded = one_hot(voted, drone_labels.num_clusters)
-    return smooth_labels(sat_feats, sat_pert, encoded, keep=config.smoothing_keep)
+    return smooth_labels(
+        sat_feats, sat_pert, voted, drone_labels.num_clusters, keep=config.smoothing_keep
+    )
 
 
 def refinement_agreement(refined_hard, drone_labels: PseudoLabels, drone_loc, sat_loc) -> float:

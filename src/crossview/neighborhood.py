@@ -35,10 +35,9 @@ import numpy as np
 from .config import TrainConfig
 # top_k_indices is unused here but stays importable from this module:
 # perfbench/tracer.py wraps it by name.
-from .numcore import as_matrix, top_k_indices  # noqa: F401
+from .numcore import as_matrix, row_norms, top_k_indices  # noqa: F401
 
 __all__ = [
-    "InstanceMemory",
     "build_instance_memory",
     "neighborhood_total",
 ]
@@ -46,32 +45,15 @@ __all__ = [
 _UNIT_TOL = 1e-9
 
 
-@dataclass
-class InstanceMemory:
-    """Frozen per-instance embedding bank; row i is instance i all epoch."""
-
-    features: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-
-def build_instance_memory(embeddings) -> InstanceMemory:
+def build_instance_memory(embeddings) -> np.ndarray:
+    """Frozen per-instance embedding bank, a copy of the unit rows given;
+    row i is instance i all epoch."""
     embeddings = as_matrix(embeddings, "embeddings").copy()
     if embeddings.shape[0] == 0:
         raise ValueError("cannot build an empty instance memory")
-    norms = np.sqrt(np.einsum("ij,ij->i", embeddings, embeddings))
-    if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
+    if np.any(np.abs(row_norms(embeddings) - 1.0) > _UNIT_TOL):
         raise ValueError("instance memory rows must be unit-norm")
-    return InstanceMemory(features=embeddings)
-
-
-def _check_ks(k_strict, k_expanded, pool) -> None:
-    if not 1 <= k_strict <= k_expanded <= pool:
-        raise ValueError(
-            f"need 1 <= k_strict <= k_expanded <= {pool}, got {k_strict}, {k_expanded}"
-        )
+    return embeddings
 
 
 def _pair_log_softmax(rows, z, b):
@@ -89,7 +71,7 @@ def _pair_log_softmax(rows, z, b):
     return logp, np.exp(logp), counts
 
 
-def _direction_batch(queries, mem: InstanceMemory, config: TrainConfig, own, forced):
+def _direction_batch(queries, mem: np.ndarray, config: TrainConfig, own, forced):
     """Alignment + mutual-information + consistency losses of one direction,
     for every query of a batch at once.
 
@@ -109,12 +91,12 @@ def _direction_batch(queries, mem: InstanceMemory, config: TrainConfig, own, for
     flat pairs with per-query sums; their gradient is scattered into one
     batch x memory matrix for the chain through the memory rows.
     """
-    b, n = queries.shape[0], mem.size
-    norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
+    b, n = queries.shape[0], mem.shape[0]
+    norms = row_norms(queries)
     if np.any(norms == 0.0):
         raise ValueError("zero-norm query")
     q_hat = queries / norms[:, None]
-    sims = q_hat @ mem.features.T
+    sims = q_hat @ mem.T
     selves = np.flatnonzero(own >= 0)
     # no set below ever picks an excluded entry, so sims carries the exclusion
     sims[selves, own[selves]] = -np.inf
@@ -125,6 +107,8 @@ def _direction_batch(queries, mem: InstanceMemory, config: TrainConfig, own, for
 
     k_expanded = config.k_expanded
     pool = n - (own >= 0)
+    if pool.min() < 1:
+        raise ValueError("a query has no candidate row: its memory holds only its own row")
     if k_expanded > pool.min():
         warnings.warn(
             f"expanded neighborhood clamped from {k_expanded} to {int(pool.min())} available rows",
@@ -132,7 +116,6 @@ def _direction_batch(queries, mem: InstanceMemory, config: TrainConfig, own, for
         )
     k2 = np.minimum(k_expanded, pool)
     k1 = np.minimum(config.k_strict, k2)
-    _check_ks(int(k1.min()), int(k2.min()), int(pool.min()))
     # each row's k2-th largest similarity; k2 differs per row when the clamp bites
     kth = np.flatnonzero(np.bincount(n - k2))  # distinct, ascending
     cut = np.partition(sims, kth, axis=1)[np.arange(b), n - k2][:, None]
@@ -175,7 +158,7 @@ def _direction_batch(queries, mem: InstanceMemory, config: TrainConfig, own, for
         grad_s[pairs] += g
         along += np.bincount(rows, g * s, minlength=b)
     # d cos(q, f_u) / dq = (f_u - cos * q_hat) / |q|, summed over every picked u
-    grads = (grad_s.reshape(b, n) @ mem.features - along[:, None] * q_hat) / norms[:, None]
+    grads = (grad_s.reshape(b, n) @ mem - along[:, None] * q_hat) / norms[:, None]
     return value, grads
 
 
@@ -191,8 +174,8 @@ def neighborhood_total(
     drone_indices,
     sat_queries,
     sat_indices,
-    mem_d: InstanceMemory,
-    mem_s: InstanceMemory,
+    mem_d: np.ndarray,
+    mem_s: np.ndarray,
     config: TrainConfig,
     forced_s=None,
 ) -> NeighborhoodLoss:

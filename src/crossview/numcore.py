@@ -17,7 +17,6 @@ __all__ = [
     "l2_normalize_rows",
     "pairwise_sim",
     "top_k_indices",
-    "sigmoid",
 ]
 
 
@@ -41,10 +40,15 @@ def row_norms(A) -> np.ndarray:
 
 
 def l2_normalize_rows(A) -> np.ndarray:
-    """Scale every row to unit Euclidean norm. Zero rows are an error."""
+    """Scale every row to unit Euclidean norm. A zero norm, or one that
+    overflows to inf, is an error naming the first such row."""
     A = as_matrix(A)
     norms = row_norms(A)
-    if np.any(norms == 0.0):
+    # an overflowed norm would divide its row to zeros
+    if not np.isfinite(norms).all():
+        bad = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise NumericError(f"row {bad} has a non-finite norm")
+    if not norms.all():
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateInputError(f"row {bad} has zero norm")
     return A / norms[:, None]
@@ -52,17 +56,11 @@ def l2_normalize_rows(A) -> np.ndarray:
 
 def pairwise_sim(A, B) -> np.ndarray:
     """All-pairs cosine similarity; out[i, j] compares A row i with B row j."""
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
+    A = l2_normalize_rows(A)
+    B = l2_normalize_rows(B)
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    na = row_norms(A)
-    nb = row_norms(B)
-    for name, norms in (("A", na), ("B", nb)):
-        if np.any(norms == 0.0):
-            bad = int(np.flatnonzero(norms == 0.0)[0])
-            raise DegenerateInputError(f"{name} row {bad} has zero norm")
-    return (A / na[:, None]) @ (B / nb[:, None]).T
+    return A @ B.T
 
 
 def top_k_indices(v, k: int) -> np.ndarray:
@@ -72,19 +70,6 @@ def top_k_indices(v, k: int) -> np.ndarray:
     if not 1 <= k <= v.shape[-1]:
         raise ValueError(f"k={k} out of range for length {v.shape[-1]}")
     return np.argsort(-v, axis=-1, kind="stable")[..., :k].astype(np.int64)
-
-
-def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 class Rng:
@@ -108,9 +93,6 @@ class Rng:
 
     def normal(self, size=None, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(loc=0.0, scale=scale, size=size)
-
-    def integers(self, low: int, high: int | None = None, size=None):
-        return self._gen.integers(low, high, size=size)
 
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)

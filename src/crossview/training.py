@@ -45,11 +45,7 @@ from .metrics import SCORE_KEYS, evaluate_retrieval
 # recall_at_k and average_precision are unused here but stay importable
 # from this module: perfbench/tracer.py wraps them by name.
 from .metrics import average_precision, recall_at_k  # noqa: F401
-from .neighborhood import (
-    InstanceMemory,
-    build_instance_memory,
-    neighborhood_total,
-)
+from .neighborhood import build_instance_memory, neighborhood_total
 from .numcore import Rng
 
 @dataclass
@@ -96,8 +92,8 @@ class EpochMemories:
     mem_s: np.ndarray
     dual_d: DualMemory | None = None
     dual_s: DualMemory | None = None
-    inst_d: InstanceMemory | None = None
-    inst_s: InstanceMemory | None = None
+    inst_d: np.ndarray | None = None  # instance memories
+    inst_s: np.ndarray | None = None
     refined: RefinedLabels | None = None
     labels_d: PseudoLabels | None = None  # the drone labels refinement voted on
 

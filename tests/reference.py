@@ -14,11 +14,11 @@ from dataclasses import replace
 import numpy as np
 
 from crossview.clustering import NOISE, PseudoLabels
+from crossview.datagen import Corpus, SyntheticSpec
 from crossview.encoder import EncoderGrads, EncoderParams
 from crossview.errors import DegenerateInputError
 from crossview.metrics import rank_gallery
-from crossview.neighborhood import InstanceMemory, _check_ks
-from crossview.numcore import Rng, top_k_indices
+from crossview.numcore import Rng, l2_normalize_rows, top_k_indices
 from crossview.training import TrainConfig
 
 
@@ -58,14 +58,14 @@ def bank_contrastive(q, bank, positive_id: int, temperature: float) -> tuple[flo
     return loss, grad
 
 
-def _query_sims(q, mem: InstanceMemory) -> tuple[np.ndarray, np.ndarray, float]:
+def _query_sims(q, mem: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Cosine similarities of q to every memory row, plus q-hat and |q|."""
     q = np.asarray(q, dtype=np.float64).ravel()
     qn = math.sqrt(q @ q)
     if qn == 0.0:
         raise ValueError("zero-norm query")
     q_hat = q / qn
-    sims = mem.features @ q_hat
+    sims = mem @ q_hat
     return sims, q_hat, qn
 
 
@@ -77,7 +77,7 @@ def _masked(sims: np.ndarray, exclude: int | None) -> np.ndarray:
     return out
 
 
-def threshold_neighborhood(q, mem: InstanceMemory, ratio: float, exclude: int | None = None) -> np.ndarray:
+def threshold_neighborhood(q, mem: np.ndarray, ratio: float, exclude: int | None = None) -> np.ndarray:
     """Indices with similarity strictly above ratio * max similarity.
 
     The comparison is verbatim, so with a negative maximum the set can be
@@ -85,7 +85,7 @@ def threshold_neighborhood(q, mem: InstanceMemory, ratio: float, exclude: int | 
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"threshold ratio must be in (0, 1), got {ratio}")
-    if mem.size == 0:
+    if mem.shape[0] == 0:
         raise ValueError("empty instance memory")
     sims, _, _ = _query_sims(q, mem)
     sims = _masked(sims, exclude)
@@ -93,11 +93,14 @@ def threshold_neighborhood(q, mem: InstanceMemory, ratio: float, exclude: int | 
 
 
 def topk_neighborhoods(
-    q, mem: InstanceMemory, k_strict: int, k_expanded: int, exclude: int | None = None
+    q, mem: np.ndarray, k_strict: int, k_expanded: int, exclude: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact strict/expanded top-k index lists, ties broken by lower index."""
-    pool = mem.size - (1 if exclude is not None else 0)
-    _check_ks(k_strict, k_expanded, pool)
+    pool = mem.shape[0] - (1 if exclude is not None else 0)
+    if not 1 <= k_strict <= k_expanded <= pool:
+        raise ValueError(
+            f"need 1 <= k_strict <= k_expanded <= {pool}, got {k_strict}, {k_expanded}"
+        )
     sims, _, _ = _query_sims(q, mem)
     wide = top_k_indices(_masked(sims, exclude), k_expanded)
     return wide[:k_strict].copy(), wide
@@ -119,10 +122,10 @@ def _log_softmax(z: list) -> tuple[list, list]:
 def _cosine_chain(grad_s: list, picked, sims: list, mem, q_hat, qn) -> np.ndarray:
     # d cos(q, f_u) / dq = (f_u - cos * q_hat) / |q|
     along = sum(g * s for g, s in zip(grad_s, sims))
-    return (np.dot(grad_s, mem.features.take(picked, axis=0)) - along * q_hat) / qn
+    return (np.dot(grad_s, mem.take(picked, axis=0)) - along * q_hat) / qn
 
 
-def alignment_loss(q, mem: InstanceMemory, omega, temperature: float) -> tuple[float, np.ndarray]:
+def alignment_loss(q, mem: np.ndarray, omega, temperature: float) -> tuple[float, np.ndarray]:
     """Cross-entropy pulling q toward every member of its threshold set."""
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -147,7 +150,7 @@ def uniform_divergence(p) -> float:
     return float(np.sum(p[nz] * np.log(p.size * p[nz])))
 
 
-def _divergence(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]:
+def _divergence(q, mem: np.ndarray, picked) -> tuple[float, np.ndarray]:
     """KL to uniform of the raw-similarity softmax over picked, and its gradient."""
     sims, q_hat, qn = _query_sims(q, mem)
     chosen = sims.take(picked).tolist()
@@ -158,7 +161,7 @@ def _divergence(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]:
     return loss, _cosine_chain(grad_s, picked, chosen, mem, q_hat, qn)
 
 
-def consistency_loss(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]:
+def consistency_loss(q, mem: np.ndarray, picked) -> tuple[float, np.ndarray]:
     """KL to uniform of the raw-similarity softmax over the expanded set."""
     picked = np.asarray(picked, dtype=np.int64)
     if picked.size == 0:
@@ -166,7 +169,7 @@ def consistency_loss(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]
     return _divergence(q, mem, picked)
 
 
-def mutual_info_loss(q, mem: InstanceMemory, picked) -> tuple[float, np.ndarray]:
+def mutual_info_loss(q, mem: np.ndarray, picked) -> tuple[float, np.ndarray]:
     """Negative KL to uniform over the strict set; bounded in [-ln k, 0]."""
     picked = np.asarray(picked, dtype=np.int64)
     if picked.size == 0:
@@ -199,7 +202,7 @@ def reference_total(
             exclude = int(own[i]) if own[i] >= 0 else None
             forced = None if partners is None else partners[i]
             for mem, skip, extra in ((intra, exclude, None), (cross, None, forced)):
-                k2 = min(w.k_expanded, mem.size - (skip is not None))
+                k2 = min(w.k_expanded, mem.shape[0] - (skip is not None))
                 omega = threshold_neighborhood(q, mem, w.neighbor_threshold, exclude=skip)
                 if extra is not None:
                     omega = np.union1d(omega, np.asarray(extra, dtype=np.int64))
@@ -335,6 +338,32 @@ def reference_blend_chain(bank, ids, queries, w_old: float, w_new: float, renorm
         bank[k] = row
 
 
+def tilted_view_corpus(spec: SyntheticSpec, theta: float) -> Corpus:
+    """A corpus whose satellite map is the drone map tilted by the angle
+    theta: map_s = cos(theta) map_d + sin(theta) Q, where Q has orthonormal
+    columns orthogonal to map_d, so map_s has orthonormal columns too.
+    theta = 0 gives both views one map, as ``shared_view_maps`` does; the
+    larger theta, the less the raw views share. Latents and noise are drawn as ``datagen.generate`` draws
+    them; ``spec.shared_view_maps`` is ignored, and Q needs
+    input_dim >= 2 * latent_dim."""
+    rng = Rng(spec.seed)
+    latents = l2_normalize_rows(rng.derive(1).normal((spec.num_locations, spec.latent_dim)))
+    # map_d and its complement split one random orthonormal basis
+    basis, _ = np.linalg.qr(rng.derive(2).normal((spec.input_dim, spec.input_dim)))
+    map_d, rest = basis[:, : spec.latent_dim], basis[:, spec.latent_dim :]
+    turn, _ = np.linalg.qr(rng.derive(3).normal((rest.shape[1], spec.latent_dim)))
+    map_s = math.cos(theta) * map_d + math.sin(theta) * (rest @ turn)
+    drone_loc = np.repeat(np.arange(spec.num_locations, dtype=np.int64), spec.drone_per_loc)
+    sat_loc = np.repeat(np.arange(spec.num_locations, dtype=np.int64), spec.sat_per_loc)
+    drone = latents[drone_loc] @ map_d.T + rng.derive(4).normal(
+        (drone_loc.size, spec.input_dim), scale=spec.noise_std
+    )
+    sat = latents[sat_loc] @ map_s.T + rng.derive(5).normal(
+        (sat_loc.size, spec.input_dim), scale=spec.noise_std
+    )
+    return Corpus(drone, sat, drone_loc=drone_loc, sat_loc=sat_loc)
+
+
 def zero_grads(params: EncoderParams) -> EncoderGrads:
     return EncoderGrads(
         np.zeros_like(params.w1),
@@ -351,6 +380,11 @@ def flatten_grads(grads: EncoderGrads) -> np.ndarray:
 def uniform_stream(rng: Rng, n: int) -> np.ndarray:
     """n uniform draws from the generator behind ``rng``."""
     return rng._gen.random(n)
+
+
+def integer_stream(rng: Rng, high: int, n: int) -> np.ndarray:
+    """n integers in [0, high) from the generator behind ``rng``."""
+    return rng._gen.integers(0, high, size=n)
 
 
 def noise_count(labels: PseudoLabels) -> int:

@@ -35,6 +35,7 @@ from reference import (
     consistency_loss,
     config,
     flatten_grads,
+    integer_stream,
     mutual_info_loss,
     noise_count,
     reference_pipeline,
@@ -157,8 +158,8 @@ def test_criterion_2_gradient_suite():
         params = encoder.init_params(rng.derive(0), input_dim, hidden, embed)
         xd = rng.derive(7).normal((batch, input_dim))
         xs = rng.derive(8).normal((batch, input_dim))
-        ids_d = np.asarray(rng.derive(9).integers(0, k, size=batch))
-        ids_s = np.asarray(rng.derive(10).integers(0, k, size=batch))
+        ids_d = integer_stream(rng.derive(9), k, batch)
+        ids_s = integer_stream(rng.derive(10), k, batch)
         rows_d = np.asarray(rng.derive(11).choice(n_inst, size=batch, replace=False))
         rows_s = np.asarray(rng.derive(12).choice(m_inst, size=batch, replace=False))
         memories = random_memories(rng.derive(13), k, embed, n_inst, m_inst, cfg)
@@ -267,7 +268,7 @@ def test_criterion_3_oracle_equivalence(np_rng):
         n = int(np_rng.integers(3, 65))
         mem = build_instance_memory(unit_rows(np_rng, n, 5))
         q = unit_rows(np_rng, 1, 5)[0]
-        sims = mem.features @ q
+        sims = mem @ q
         k1 = int(np_rng.integers(1, n + 1))
         k2 = int(np_rng.integers(k1, n + 1))
         strict, wide = topk_neighborhoods(q, mem, k1, k2)

@@ -96,6 +96,13 @@ class TestGenerate:
         hb = hashlib.sha256((b / "drone.dmfv").read_bytes()).hexdigest()
         assert ha == hb
 
+    def test_payload_beyond_float32_exit_3_before_writing(self, tmp_path, capsys):
+        # finite in float64, but float32 holds nothing near 1e300
+        out = tmp_path / "g"
+        assert run_cli(["generate", "--out", str(out), "--locations", "4", "--noise-std", "1e300"]) == 3
+        assert "drone features do not fit float32" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_count_field_arithmetic(self, tmp_path):
         run_cli([
             "generate", "--out", str(tmp_path), "--locations", "64",
@@ -239,6 +246,15 @@ class TestTrain:
         ]
         assert run_cli(argv) == 4
         assert "non-finite norm" in capsys.readouterr().err
+
+    def test_overflowing_perturbation_exit_4(self, tmp_path, capsys):
+        argv = [
+            "train", "--out", str(tmp_path / "r"), "--locations", "4", "--p-classes", "2",
+            "--epochs", "2", "--iters-per-epoch", "2", "--perturb-std", "1e300",
+            "--refine-start-epoch", "0",
+        ]
+        assert run_cli(argv) == 4
+        assert "row 0 has a non-finite norm" in capsys.readouterr().err
 
     def test_empty_feature_files_exit_3_before_writing(self, tmp_path, capsys):
         views = {

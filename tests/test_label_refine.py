@@ -7,7 +7,6 @@ from conftest import unit_rows
 from crossview.clustering import NOISE, PseudoLabels
 from crossview.label_refine import (
     consistency_vote,
-    one_hot,
     perturb,
     rank_label_lists,
     refine_labels,
@@ -124,15 +123,13 @@ class TestVote:
 class TestSmooth:
     def test_unanimous_neighborhood(self, np_rng):
         sat = np.tile(unit_rows(np_rng, 1, 4), (5, 1))
-        refined = one_hot(np.full(5, 2), 4)
-        out = smooth_labels(sat, sat, refined, keep=5)
+        out = smooth_labels(sat, sat, np.full(5, 2), 4, keep=5)
         np.testing.assert_array_equal(out.hard, [2] * 5)
 
     def test_five_max_mask(self):
         # a row whose combined sims are strictly ordered keeps exactly 5 ones
         sat = unit_rows(np.random.default_rng(0), 6, 8)
-        refined = one_hot(np.arange(6) % 2, 2)
-        out = smooth_labels(sat, sat, refined, keep=5)
+        out = smooth_labels(sat, sat, np.arange(6) % 2, 2, keep=5)
         assert np.all(out.scores.sum(axis=1) == 5.0)
 
     def test_five_max_selection_on_forced_row(self):
@@ -145,16 +142,21 @@ class TestSmooth:
 
     def test_scores_non_negative_and_argmax_stable(self, np_rng):
         sat = unit_rows(np_rng, 7, 4)
-        refined = one_hot(np_rng.integers(0, 3, size=7), 3)
-        out = smooth_labels(sat, perturb(sat, 0.01, Rng(0)), refined, keep=3)
+        votes = np_rng.integers(0, 3, size=7)
+        out = smooth_labels(sat, perturb(sat, 0.01, Rng(0)), votes, 3, keep=3)
         assert np.all(out.scores >= 0.0)
         np.testing.assert_array_equal(out.hard, out.scores.argmax(axis=1))
 
     def test_keep_clamped_with_warning(self, np_rng):
         sat = unit_rows(np_rng, 3, 4)
-        refined = one_hot(np.zeros(3, dtype=int), 1)
         with pytest.warns(UserWarning):
-            smooth_labels(sat, sat, refined, keep=5)
+            smooth_labels(sat, sat, np.zeros(3, dtype=int), 1, keep=5)
+
+    def test_vote_out_of_range_rejected(self, np_rng):
+        sat = unit_rows(np_rng, 3, 4)
+        for votes in ([0, 1, 3], [0, -1, 2]):
+            with pytest.raises(ValueError, match="out of range for 3 classes"):
+                smooth_labels(sat, sat, votes, 3, keep=2)
 
 
 class TestPipeline:

@@ -50,7 +50,7 @@ def assert_matches_reference(case):
     lists go to the reference as they are and to the batch path as a mask."""
     case = dict(case)
     partners = case.pop("partners_s", None)
-    out = neighborhood_total(**case, forced_s=partner_mask(partners, case["mem_d"].size))
+    out = neighborhood_total(**case, forced_s=partner_mask(partners, case["mem_d"].shape[0]))
     value, gd, gs = reference_total(**case, partners_s=partners)
     assert out.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(out.drone_grads, gd, rtol=1e-12, atol=1e-12)
@@ -60,19 +60,19 @@ def assert_matches_reference(case):
 class TestInstanceMemory:
     def test_single_row(self):
         mem = memory_with_rows([[3.0, 4.0]])
-        assert mem.size == 1
+        assert mem.shape[0] == 1
 
     def test_rebuild_identical(self, np_rng):
         rows = unit_rows(np_rng, 4, 3)
         a = build_instance_memory(rows)
         b = build_instance_memory(rows)
-        np.testing.assert_array_equal(a.features, b.features)
+        np.testing.assert_array_equal(a, b)
 
     def test_snapshot_is_a_copy(self, np_rng):
         rows = unit_rows(np_rng, 4, 3)
         mem = build_instance_memory(rows)
         rows[0, 0] = 9.0
-        assert mem.features[0, 0] != 9.0
+        assert mem[0, 0] != 9.0
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
@@ -99,10 +99,10 @@ class TestThresholdSet:
     def test_ratio_near_one_keeps_argmax_only(self, np_rng):
         mem = planted_memory(np_rng, 10, 4)
         q = unit_rows(np_rng, 1, 4)[0]
-        sims = mem.features @ q
+        sims = mem @ q
         if sims.max() <= 0:  # ratio filter needs a positive max here
-            q = mem.features[3]
-            sims = mem.features @ q
+            q = mem[3]
+            sims = mem @ q
         got = threshold_neighborhood(q, mem, 0.999999)
         assert got.size >= 1
         assert int(sims.argmax()) in got.tolist()
@@ -147,7 +147,7 @@ class TestTopK:
             k2 = int(np_rng.integers(k1, n))
             strict, wide = topk_neighborhoods(q, mem, k1, k2)
             assert set(strict.tolist()) <= set(wide.tolist())
-            sims = mem.features @ q
+            sims = mem @ q
             expect = sorted(range(n), key=lambda i: (-sims[i], i))
             np.testing.assert_array_equal(wide, expect[:k2])
 
@@ -161,7 +161,7 @@ class TestTopK:
 
     def test_exclusion_shrinks_pool(self, np_rng):
         mem = planted_memory(np_rng, 4, 3)
-        strict, wide = topk_neighborhoods(mem.features[1], mem, 1, 3, exclude=1)
+        strict, wide = topk_neighborhoods(mem[1], mem, 1, 3, exclude=1)
         assert 1 not in wide.tolist()
 
 
@@ -270,7 +270,7 @@ class TestCombination:
         mem_s = build_instance_memory(unit_rows(np_rng, m, d))
         rows_d = np_rng.choice(n, size=bd, replace=False)
         rows_s = np_rng.choice(m, size=bs, replace=False)
-        return mem_d, mem_s, mem_d.features[rows_d], rows_d, mem_s.features[rows_s], rows_s
+        return mem_d, mem_s, mem_d[rows_d], rows_d, mem_s[rows_s], rows_s
 
     def test_zero_weights_reduce_to_alignment_sum(self, np_rng):
         mem_d, mem_s, qd, rd, qs, rs = self.make_batches(np_rng)
@@ -322,10 +322,10 @@ class TestCombination:
             consistency_weight=0.0, temperature=0.2,
         )
         plain = neighborhood_total(qd, rd, qs, rs, mem_d, mem_s, w)
-        everything = np.ones((1, mem_d.size), dtype=bool)
+        everything = np.ones((1, mem_d.shape[0]), dtype=bool)
         forced = neighborhood_total(qd, rd, qs, rs, mem_d, mem_s, w, forced_s=everything)
         om = threshold_neighborhood(qs[0], mem_d, 0.95)
-        assert om.size < mem_d.size
+        assert om.size < mem_d.shape[0]
         assert forced.value != pytest.approx(plain.value, abs=1e-9)
 
     def test_gradients_match_finite_differences(self, np_rng):
@@ -341,8 +341,8 @@ class TestCombination:
             mem_s = build_instance_memory(unit_rows(rng, 7, 4))
             rows_d = np.array([1, 4])
             rows_s = np.array([3])
-            qd0 = mem_d.features[rows_d] + 0.01 * rng.standard_normal((2, 4))
-            qs0 = mem_s.features[rows_s] + 0.01 * rng.standard_normal((1, 4))
+            qd0 = mem_d[rows_d] + 0.01 * rng.standard_normal((2, 4))
+            qs0 = mem_s[rows_s] + 0.01 * rng.standard_normal((1, 4))
 
             def value(flat):
                 qd = flat[:8].reshape(2, 4)
@@ -429,7 +429,7 @@ def reference_case(kind):
         )
     elif kind == "forced":
         om = threshold_neighborhood(case["sat_queries"][0], case["mem_d"], w.neighbor_threshold)
-        outside = [u for u in range(case["mem_d"].size) if u not in om.tolist()][0]
+        outside = [u for u in range(case["mem_d"].shape[0]) if u not in om.tolist()][0]
         # one partner already in the threshold set, one outside it, both repeated
         case["partners_s"] = [np.array([om[0], outside, om[0], outside]), None]
     elif kind == "no threshold set":

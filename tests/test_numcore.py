@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossview.cluster_memory import bank_contrastive_rows
-from crossview.errors import DegenerateInputError
-from crossview.numcore import Rng, l2_normalize_rows, pairwise_sim, sigmoid, top_k_indices
+from crossview.errors import DegenerateInputError, NumericError
+from crossview.numcore import Rng, l2_normalize_rows, pairwise_sim, top_k_indices
 from reference import cosine_sim, uniform_stream
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -56,9 +56,19 @@ class TestPairwise:
         np.testing.assert_allclose(np.diag(S), 1.0, atol=1e-12)
 
     def test_zero_row_rejected(self):
-        A = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateInputError):
-            pairwise_sim(A, A)
+        # a norm that overflows to inf is as unusable as a zero one
+        for row, error, message in (
+            ([0.0, 0.0], DegenerateInputError, "row 1 has zero norm"),
+            ([1e200, 1e200], NumericError, "row 1 has a non-finite norm"),
+        ):
+            A = np.array([[1.0, 0.0], row])
+            for call in (
+                lambda: pairwise_sim(A, A[:1]),
+                lambda: pairwise_sim(A[:1], A),
+                lambda: l2_normalize_rows(A),
+            ):
+                with pytest.raises(error, match=message):
+                    call()
 
 
 class TestNormalize:
@@ -160,23 +170,6 @@ class TestTopK:
             np.testing.assert_array_equal(got[i], top_k_indices(matrix[i], k))
             expect = sorted(range(cols), key=lambda j: (-matrix[i, j], j))[:k]
             np.testing.assert_array_equal(got[i], expect)
-
-
-class TestSigmoid:
-    def test_zero(self):
-        assert sigmoid(0.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_log_three(self):
-        assert sigmoid(np.log(3.0)) == pytest.approx(0.75, abs=1e-12)
-
-    @given(finite_floats)
-    @settings(deadline=None, max_examples=80)
-    def test_symmetry_identity(self, x):
-        assert sigmoid(x) + sigmoid(-x) == pytest.approx(1.0, abs=1e-12)
-
-    def test_extreme_inputs_stay_finite(self):
-        assert sigmoid(-1000.0) == pytest.approx(0.0, abs=1e-12)
-        assert sigmoid(1000.0) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRng:

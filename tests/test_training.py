@@ -21,6 +21,7 @@ from crossview.clustering import (
 from crossview.datagen import Corpus, SyntheticSpec, generate
 from crossview.errors import ClusteringError, ConfigError
 from crossview.label_refine import RefinedLabels
+from crossview.metrics import evaluate_retrieval
 from crossview.neighborhood import build_instance_memory
 from crossview.numcore import Rng
 from crossview.config import ABLATIONS
@@ -34,7 +35,7 @@ from crossview.training import (
     total_loss,
     write_metrics,
 )
-from reference import reference_total
+from reference import reference_total, tilted_view_corpus
 
 
 def tiny_config(**overrides):
@@ -272,10 +273,10 @@ class TestRefinedPartners:
         )
         drone_rows, sat_rows = np.array([0, 4, 7]), np.array([1, 3, 3, 4])
         batch = Batch(
-            drone_emb=inst_d.features[drone_rows] + 0.05 * rng.standard_normal((3, 4)),
+            drone_emb=inst_d[drone_rows] + 0.05 * rng.standard_normal((3, 4)),
             drone_cluster_ids=np.array([0, 1, 2]),
             drone_rows=drone_rows,
-            sat_emb=inst_s.features[sat_rows] + 0.05 * rng.standard_normal((4, 4)),
+            sat_emb=inst_s[sat_rows] + 0.05 * rng.standard_normal((4, 4)),
             sat_cluster_ids=np.array([0, 2, 2, 1]),
             sat_rows=sat_rows,
         )
@@ -327,6 +328,35 @@ class TestSatelliteClustering:
         trainer = Trainer(TrainConfig(replication=1, dbscan_min_pts=4), corpus)
         with pytest.raises(ClusteringError, match="0 satellite clusters"):
             trainer.run_epoch()
+
+
+class TestCrossViewLearning:
+    # the canonical corpus, but with a satellite map tilted from the drone
+    # map by 0.9 rad instead of drawn independently of it
+    SPEC = SyntheticSpec(
+        num_locations=64, latent_dim=16, input_dim=32, drone_per_loc=8,
+        sat_per_loc=1, noise_std=0.05, seed=2024,
+    )
+
+    def test_full_beats_baseline_beats_untrained(self):
+        # drone-to-satellite R@1. With these settings the order held at
+        # every epoch count from 13 on for training seeds 38-53, which
+        # chose the count, and at 15 epochs for seeds 54-69; seed 38 ends
+        # about 0.03 and 0.05 apart
+        corpus = tilted_view_corpus(self.SPEC, 0.9)
+        gt_d, gt_s = corpus.ground_truth()
+        r1 = {}
+        for name in ("baseline", "full"):
+            cfg = TrainConfig(seed=38, epochs=15, iters_per_epoch=32, smoothing_keep=1)
+            trainer = Trainer(cfg.with_ablation(name), corpus)
+            if not r1:
+                emb_d, _ = encoder.forward(trainer.params, corpus.drone_raw)
+                emb_s, _ = encoder.forward(trainer.params, corpus.sat_raw)
+                r1["untrained"] = evaluate_retrieval(emb_d, emb_s, gt_d, gt_s)["r1_ds"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                r1[name] = trainer.train()[-1].r1_ds
+        assert r1["untrained"] < r1["baseline"] < r1["full"], r1
 
 
 class TestMetricsFile:
