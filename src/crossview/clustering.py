@@ -124,8 +124,13 @@ def compute_centroids(features, labels: PseudoLabels) -> np.ndarray:
     features = as_matrix(features, "features")
     if labels.labels.shape[0] != features.shape[0]:
         raise ValueError("labels do not match feature rows")
+    # one stable sort groups every cluster's members in ascending row order,
+    # after the noise rows, so each mean adds the rows a per-cluster scan would
+    order = np.argsort(labels.labels, kind="stable")
+    sizes = np.bincount(labels.labels[labels.labels >= 0], minlength=labels.num_clusters)
+    ends = np.count_nonzero(labels.labels == NOISE) + np.cumsum(sizes)
     centroids = np.empty((labels.num_clusters, features.shape[1]))
-    for k in range(labels.num_clusters):
-        centroids[k] = features[labels.members(k)].mean(axis=0)
+    for k, (start, end) in enumerate(zip(ends - sizes, ends)):
+        centroids[k] = features[order[start:end]].mean(axis=0)
     return l2_normalize_rows(centroids)
 

@@ -14,6 +14,7 @@ from crossview.clustering import (
     dbscan,
     replicate_features,
 )
+from crossview.numcore import l2_normalize_rows
 
 
 def reference_dbscan(points, eps, min_pts):
@@ -242,15 +243,14 @@ class TestCentroids:
         )
 
     def test_matches_loop_oracle(self, np_rng):
-        feats = unit_rows(np_rng, 20, 5)
-        raw = np_rng.integers(0, 4, size=20)
-        raw[:4] = [0, 1, 2, 3]  # every cluster non-empty
-        labels = PseudoLabels(labels=raw.astype(np.int64), num_clusters=4)
-        got = compute_centroids(feats, labels)
-        for k in range(4):
-            members = [feats[i] for i in range(20) if raw[i] == k]
-            mean = np.mean(members, axis=0)
-            np.testing.assert_allclose(got[k], mean / np.linalg.norm(mean), atol=1e-12)
+        # members in ascending row order give the per-cluster scan's bits
+        for _ in range(20):
+            feats = np_rng.standard_normal((40, 5))
+            raw = np_rng.integers(NOISE, 4, size=40)
+            raw[np_rng.permutation(40)[:5]] = [0, 1, 2, 3, NOISE]  # every cluster non-empty, some noise
+            labels = PseudoLabels(labels=raw, num_clusters=4)
+            means = [np.mean([feats[i] for i in range(40) if raw[i] == k], axis=0) for k in range(4)]
+            np.testing.assert_array_equal(compute_centroids(feats, labels), l2_normalize_rows(np.array(means)))
 
     def test_noise_excluded(self):
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])

@@ -194,6 +194,71 @@ class TestOnePassEvaluation:
             average_precision(np.eye(2), np.zeros((0, 2)), [0, 1], [])
         with pytest.raises(ValueError, match="query 0 has no relevant gallery item"):
             evaluate_retrieval(np.eye(2), np.eye(2), [3, 1], [0, 1])
+        with pytest.raises(ValueError, match=r"query labels have shape \(4,\), expected \(3,\)"):
+            average_precision(np.eye(3), np.eye(3), [0, 1, 2, 0], [0, 1, 2])
+        with pytest.raises(ValueError, match=r"query labels have shape \(1,\), expected \(3,\)"):
+            average_precision(np.eye(3), np.eye(3), [0], [0, 1, 2])
+        with pytest.raises(ValueError, match=r"gallery labels have shape \(2,\), expected \(3,\)"):
+            evaluate_retrieval(np.eye(3), np.eye(3), [0, 1, 2], [0, 1])
+        for score in (
+            lambda q, qt: recall_at_k(q, np.eye(2), qt, [0, 1], 1),
+            lambda q, qt: average_precision(q, np.eye(2), qt, [0, 1]),
+            lambda q, qt: evaluate_retrieval(q, np.eye(2), qt, [0, 1]),
+        ):
+            with pytest.raises(ValueError, match="empty query set"):
+                score(np.zeros((0, 2)), [])
+
+    @staticmethod
+    def block_rows(width, gallery_size):
+        """Query rows that ``relevant_ranks`` counts per block."""
+        return max(1, metrics.BLOCK_CELLS // (width * gallery_size))
+
+    def assert_spans_blocks(self, queries, width, gallery_size):
+        step = self.block_rows(width, gallery_size)
+        assert queries > step and queries % step, "input must span blocks and end in a partial one"
+
+    def test_blocks_with_eight_relevant_items_each(self, np_rng):
+        # satellite -> drone as in retrieval: every location has 8 drone rows
+        n_loc = 64
+        gt_d = np.repeat(np.arange(n_loc), 8)
+        step = self.block_rows(8, gt_d.size)
+        n_s = 2 * step + step // 2
+        gt_s = np_rng.permutation(np.concatenate([np.arange(n_loc), np_rng.integers(0, n_loc, n_s - n_loc)]))
+        self.assert_spans_blocks(n_s, 8, gt_d.size)
+        for rows in (unit_rows, lambda rng, n, d: coarse_rows(rng, n, d, 2)):
+            emb_d = rows(np_rng, gt_d.size, 3)
+            emb_s = rows(np_rng, n_s, 3)
+            got = evaluate_retrieval(emb_d, emb_s, gt_d, gt_s)
+            assert got == evaluation_by_ranking(emb_d, emb_s, gt_d, gt_s)
+
+    def test_ties_straddle_a_block_edge(self, np_rng):
+        # every row on a coarse grid ties with many others; the rows on
+        # either side of each block edge are the same query
+        n_loc = 32
+        gt_d = np.repeat(np.arange(n_loc), 16)
+        step = self.block_rows(16, gt_d.size)
+        n_s = 3 * step + 5
+        gt_s = np_rng.integers(0, n_loc, n_s)
+        emb_s = coarse_rows(np_rng, n_s, 2, 1)
+        edges = np.arange(step, n_s, step)
+        emb_s[edges], gt_s[edges] = emb_s[edges - 1], gt_s[edges - 1]
+        self.assert_spans_blocks(n_s, 16, gt_d.size)
+        emb_d = coarse_rows(np_rng, gt_d.size, 2, 1)
+        ranks = metrics.relevant_ranks(emb_s, emb_d, gt_s, gt_d)
+        np.testing.assert_array_equal(ranks[edges], ranks[edges - 1])
+        for k in (1, 5, 10):
+            assert recall_at_k(emb_s, emb_d, gt_s, gt_d, k) == recall_by_ranking(emb_s, emb_d, gt_s, gt_d, k)
+        assert average_precision(emb_s, emb_d, gt_s, gt_d) == ap_by_ranking(emb_s, emb_d, gt_s, gt_d)
+
+    def test_one_crowded_location(self, np_rng):
+        # location 0 holds most of the gallery, so a block is a few rows
+        gt_s = np_rng.permutation(np.concatenate([np.zeros(240, dtype=np.int64), np.arange(1, 31)]))
+        gt_d = np_rng.integers(0, 31, 150)
+        gt_d[:31] = np.arange(31)
+        self.assert_spans_blocks(gt_d.size, 240, gt_s.size)
+        emb_d = coarse_rows(np_rng, gt_d.size, 2, 2)
+        emb_s = coarse_rows(np_rng, gt_s.size, 2, 2)
+        assert evaluate_retrieval(emb_d, emb_s, gt_d, gt_s) == evaluation_by_ranking(emb_d, emb_s, gt_d, gt_s)
 
 
 class TestOneSimilarityPerDirection:
