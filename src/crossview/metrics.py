@@ -47,6 +47,8 @@ def relevant_ranks(query_emb, gallery_emb, query_gt, gallery_gt) -> np.ndarray:
     grouped = gallery_gt[order]
     first = np.searchsorted(grouped, query_gt, side="left")
     counts = np.searchsorted(grouped, query_gt, side="right") - first
+    if not counts.all():
+        raise ValueError(f"query {np.flatnonzero(counts == 0)[0]} has no relevant gallery item")
     # layer t pairs each query with its t-th relevant item in gallery order;
     # past a query's count the index is a clipped stand-in that ``present`` masks
     layers = np.arange(counts.max())
@@ -102,7 +104,11 @@ def evaluate_retrieval(emb_d, emb_s, gt_d, gt_s) -> dict:
 
 
 def _labels(gt, rows: int, side: str) -> np.ndarray:
-    gt = np.asarray(gt, dtype=np.int64)
+    raw = np.asarray(gt)
+    with np.errstate(invalid="ignore"):
+        gt = raw.astype(np.int64)
+    if not np.array_equal(gt, raw):
+        raise ValueError(f"{side} labels must be integer location ids")
     if gt.shape != (rows,):
         raise ValueError(f"{side} labels have shape {gt.shape}, expected ({rows},)")
     return gt
@@ -115,8 +121,6 @@ def _recall(ranks: np.ndarray, k: int) -> float:
 
 def _mean_ap(ranks: np.ndarray) -> float:
     counts = np.count_nonzero(ranks != NO_RANK, axis=1)
-    if np.any(counts == 0):
-        raise ValueError(f"query {np.flatnonzero(counts == 0)[0]} has no relevant gallery item")
     ap_values = np.empty(ranks.shape[0])
     for r in np.flatnonzero(np.bincount(counts)):
         rows = np.flatnonzero(counts == r)

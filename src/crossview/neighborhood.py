@@ -19,12 +19,10 @@ cross-view threshold sets; no other set is ever forced.
 
 Training calls ``neighborhood_total``, which scores a whole minibatch per
 direction: one batch x memory similarity product, then the three sets as
-flat (query, row) pairs and the softmaxes on those few pairs only. Top-k
-ties go to the lower index: a query's expanded set is every row above its
-k-th largest similarity (found by partition) plus, up to k, the rows equal
-to it in index order. ``tests/reference.py`` computes the same sets and
-losses one query at a time; it is the reference the batch path is tested
-against.
+flat (query, row) pairs and the softmaxes on those few pairs only. The
+top-k sets come from ``numcore.top_k_indices``, ties to the lower index.
+``tests/reference.py`` computes the same sets and losses one query at a
+time; it is the reference the batch path is tested against.
 """
 
 import warnings
@@ -33,9 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-# top_k_indices is unused here but stays importable from this module:
-# perfbench/tracer.py wraps it by name.
-from .numcore import as_matrix, row_norms, top_k_indices  # noqa: F401
+from .numcore import as_matrix, row_norms, top_k_indices
 
 __all__ = [
     "build_instance_memory",
@@ -83,13 +79,10 @@ def _direction_batch(queries, mem: np.ndarray, config: TrainConfig, own, forced)
     formulas are those of the per-query functions in ``tests/reference.py``.
 
     After the one batch x memory similarity product, only the selected
-    (query, row) pairs are scored. A query's expanded set is every row above
-    its k-th largest similarity, taken from one partition, plus the rows
-    equal to that value in index order up to k, so a tie at the cut goes to
-    the lower index. Its strict set is the first k_strict of those by
-    similarity descending, then index ascending. The softmax terms run on
-    flat pairs with per-query sums; their gradient is scattered into one
-    batch x memory matrix for the chain through the memory rows.
+    (query, row) pairs are scored: a query's first k_expanded and k_strict
+    picks from ``numcore.top_k_indices`` are its expanded and strict sets.
+    The softmax terms run on flat pairs with per-query sums, and their
+    gradient goes through one batch x memory matrix to the memory rows.
     """
     b, n = queries.shape[0], mem.shape[0]
     norms = row_norms(queries)
@@ -116,25 +109,12 @@ def _direction_batch(queries, mem: np.ndarray, config: TrainConfig, own, forced)
         )
     k2 = np.minimum(k_expanded, pool)
     k1 = np.minimum(config.k_strict, k2)
-    # each row's k2-th largest similarity; k2 differs per row when the clamp bites
-    kth = np.flatnonzero(np.bincount(n - k2))  # distinct, ascending
-    cut = np.partition(sims, kth, axis=1)[np.arange(b), n - k2][:, None]
-    expanded = sims >= cut
-    wide = np.flatnonzero(expanded)
-    if wide.size > k2.sum():
-        # more rows tie at the cut than fit: keep the lowest-indexed ones
-        tied = sims == cut
-        room = k2 - np.count_nonzero(sims > cut, axis=1)
-        expanded &= ~tied | (np.cumsum(tied, axis=1) <= room[:, None])
-        wide = np.flatnonzero(expanded)
-
-    # each set as flat indices into the b x n matrix, grouped by row
+    # picks as flat b x n indices, best first; a row clamped one shorter loses its -inf self
+    top = top_k_indices(sims, int(k2.max())) + np.arange(0, b * n, n)[:, None]
+    pick = np.arange(top.shape[1])
+    wide = np.sort(top[pick < k2[:, None]])  # in ascending pair order
+    strict = top[pick < k1[:, None]]
     flat = sims.reshape(-1)
-    wide_rows = wide // n
-    # each row's block best first, ties in index order; its first k1 are the strict set
-    order = np.lexsort((-flat[wide], wide_rows))
-    rank = np.arange(wide.size) - (np.cumsum(k2) - k2)[wide_rows]
-    strict = wide[order[rank < k1[wide_rows]]]
     thresh = np.flatnonzero(omega)
 
     # alignment: sum over omega of -log p of the tempered softmax

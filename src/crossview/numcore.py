@@ -65,11 +65,27 @@ def pairwise_sim(A, B) -> np.ndarray:
 
 def top_k_indices(v, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis (of each row on
-    its own, for a matrix), descending value, ties by lower index."""
+    its own, for a matrix), descending value, ties by lower index. -inf
+    ranks below every number; a NaN entry is a ValueError."""
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    if not 1 <= k <= v.shape[-1]:
-        raise ValueError(f"k={k} out of range for length {v.shape[-1]}")
-    return np.argsort(-v, axis=-1, kind="stable")[..., :k].astype(np.int64)
+    n = v.shape[-1]
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for length {n}")
+    rows = v.reshape(-1, n)
+    # partition orders NaN above every number, so a row's NaN lands in its top k
+    part = np.partition(rows, n - k, axis=1)
+    if np.isnan(part[:, n - k :]).any():
+        raise ValueError("cannot rank an entry that is NaN")
+    cut = part[:, n - k, None]
+    picked = rows >= cut
+    if np.count_nonzero(picked) > picked.shape[0] * k:
+        # more entries tie at the cut than fit: keep the lowest-indexed ones
+        tied = rows == cut
+        room = k - np.count_nonzero(rows > cut, axis=1)
+        picked &= ~tied | (np.cumsum(tied, axis=1) <= room[:, None])
+    flat = np.flatnonzero(picked).reshape(-1, k)
+    order = np.argsort(-rows.reshape(-1)[flat], axis=1, kind="stable")
+    return (np.take_along_axis(flat, order, axis=1) % n).reshape(v.shape[:-1] + (k,))
 
 
 class Rng:

@@ -18,7 +18,7 @@ from crossview.datagen import Corpus, SyntheticSpec
 from crossview.encoder import EncoderGrads, EncoderParams
 from crossview.errors import DegenerateInputError
 from crossview.metrics import rank_gallery
-from crossview.numcore import Rng, l2_normalize_rows, top_k_indices
+from crossview.numcore import Rng, l2_normalize_rows
 from crossview.training import TrainConfig
 
 
@@ -102,7 +102,8 @@ def topk_neighborhoods(
             f"need 1 <= k_strict <= k_expanded <= {pool}, got {k_strict}, {k_expanded}"
         )
     sims, _, _ = _query_sims(q, mem)
-    wide = top_k_indices(_masked(sims, exclude), k_expanded)
+    # a full stable sort, kept apart from numcore.top_k_indices's partition
+    wide = np.argsort(-_masked(sims, exclude), kind="stable")[:k_expanded]
     return wide[:k_strict].copy(), wide
 
 

@@ -79,8 +79,9 @@ class TestRecall:
             ng = int(np_rng.integers(1, 30))
             queries = unit_rows(np_rng, nq, 4)
             gallery = unit_rows(np_rng, ng, 4)
-            q_gt = np_rng.integers(0, 4, size=nq)
             g_gt = np_rng.integers(0, 4, size=ng)
+            # every query needs a relevant gallery item, so its label is one of the gallery's
+            q_gt = np_rng.choice(g_gt, size=nq)
             k = int(np_rng.integers(1, ng + 3))
             assert recall_at_k(queries, gallery, q_gt, g_gt, k) == pytest.approx(
                 brute_force_recall(queries, gallery, q_gt, g_gt, k)
@@ -192,8 +193,12 @@ class TestOnePassEvaluation:
             recall_at_k(np.eye(2), np.eye(2), [0, 1], [0, 1], 0)
         with pytest.raises(ValueError, match="empty gallery"):
             average_precision(np.eye(2), np.zeros((0, 2)), [0, 1], [])
-        with pytest.raises(ValueError, match="query 0 has no relevant gallery item"):
-            evaluate_retrieval(np.eye(2), np.eye(2), [3, 1], [0, 1])
+        for score in (
+            lambda: recall_at_k(np.eye(2), np.eye(2), [3, 1], [0, 1], 1),
+            lambda: evaluate_retrieval(np.eye(2), np.eye(2), [3, 1], [0, 1]),
+        ):
+            with pytest.raises(ValueError, match="query 0 has no relevant gallery item"):
+                score()
         with pytest.raises(ValueError, match=r"query labels have shape \(4,\), expected \(3,\)"):
             average_precision(np.eye(3), np.eye(3), [0, 1, 2, 0], [0, 1, 2])
         with pytest.raises(ValueError, match=r"query labels have shape \(1,\), expected \(3,\)"):
@@ -207,6 +212,23 @@ class TestOnePassEvaluation:
         ):
             with pytest.raises(ValueError, match="empty query set"):
                 score(np.zeros((0, 2)), [])
+
+    def test_non_integer_labels_rejected(self):
+        # a cast to int64 would score the query labelled 0.9 as location 0
+        for q_gt, g_gt, side in (
+            ([0.9, 1], [0, 1], "query"),
+            ([0, 1], [0, np.nan], "gallery"),
+            ([0, 1], [0, 2.0**70], "gallery"),
+        ):
+            for score in (
+                lambda: recall_at_k(np.eye(2), np.eye(2), q_gt, g_gt, 1),
+                lambda: average_precision(np.eye(2), np.eye(2), q_gt, g_gt),
+                lambda: evaluate_retrieval(np.eye(2), np.eye(2), q_gt, g_gt),
+            ):
+                with pytest.raises(ValueError, match=f"{side} labels must be integer location ids"):
+                    score()
+        # integral floats name a location exactly
+        assert average_precision(np.eye(2), np.eye(2), [0.0, 1.0], [0, 1]) == 1.0
 
     @staticmethod
     def block_rows(width, gallery_size):

@@ -154,13 +154,19 @@ class TestTopK:
         b = top_k_indices(values, k)
         np.testing.assert_array_equal(a, b)
 
+    def test_nan_rejected(self):
+        # one NaN or a row of them, with k from one to the whole row
+        for v, k in (([np.nan, 1.0, 2.0], 1), ([1.0, 2.0, np.nan], 3), ([[0.0, 1.0], [np.nan, np.nan]], 1)):
+            with pytest.raises(ValueError, match="NaN"):
+                top_k_indices(v, k)
+
     @given(st.data())
     @settings(deadline=None, max_examples=150)
     def test_rows_match_per_row_calls(self, data):
-        # entries from a few values, signed zeros included, so rows tie often
+        # entries from a few values, -inf and signed zeros included, so rows tie often
         rows = data.draw(st.integers(1, 6), label="rows")
         cols = data.draw(st.integers(1, 8), label="cols")
-        entry = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+        entry = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0])
         row = st.lists(entry, min_size=cols, max_size=cols)
         matrix = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
         k = data.draw(st.integers(1, cols), label="k")

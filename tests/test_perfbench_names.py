@@ -52,11 +52,24 @@ def unused_imports(path: Path) -> list[str]:
     return sorted(imported - used)
 
 
+# The imports nothing reads that stay only because perfbench/tracer.py wraps
+# them where they are imported. Deleting them with their hooks shrinks this
+# set; nothing may join it.
+TRACER_ONLY_IMPORTS = {
+    ("cli", "average_precision"),
+    ("cli", "recall_at_k"),
+    ("training", "average_precision"),
+    ("training", "collapse_replica_labels"),
+    ("training", "recall_at_k"),
+    ("training", "replicate_features"),
+}
+
+
 def test_unused_imports_are_tracer_hooks(perfbench_on_path):
-    # an import nothing reads may stay only while perfbench/tracer.py wraps it there
     import tracer
 
     hooked = {(module.__name__.split(".")[-1], attr) for module, attr, _, _ in tracer.layer_hooks()}
     modules = sorted((ROOT / "src" / "crossview").glob("*.py"))
-    leftovers = [(path.stem, name) for path in modules for name in unused_imports(path)]
-    assert [pair for pair in leftovers if pair not in hooked] == []
+    leftovers = {(path.stem, name) for path in modules for name in unused_imports(path)}
+    assert leftovers == TRACER_ONLY_IMPORTS
+    assert TRACER_ONLY_IMPORTS <= hooked
