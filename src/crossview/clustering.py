@@ -3,7 +3,8 @@
 Pseudo-labels are regenerated from scratch at the start of every epoch.
 Determinism rules: cluster ids follow the order of the first core point
 index, and border points reachable from several clusters go to the
-cluster of their lowest-indexed core neighbor.
+cluster of their lowest-indexed core neighbor. ``PseudoLabels`` groups
+its rows once, and the sampler and ``compute_centroids`` both read that.
 """
 
 from dataclasses import dataclass
@@ -33,25 +34,31 @@ class DbscanParams:
 
 @dataclass
 class PseudoLabels:
-    """Per-instance integer assignment; -1 marks noise."""
+    """Per-instance integer assignment; -1 marks noise. The labels are fixed
+    once built: one stable argsort groups the rows (noise first, then cluster
+    0, 1, ...), and ``members(k)`` is a read-only, ascending slice of it."""
 
     labels: np.ndarray
     num_clusters: int
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        lo = self.labels.min(initial=NOISE)
-        hi = self.labels.max(initial=NOISE)
+        if self.labels.ndim != 1:
+            raise ValueError(f"labels must be 1-D, got shape {self.labels.shape}")
+        lo, hi = self.labels.min(initial=NOISE), self.labels.max(initial=NOISE)
         if lo < NOISE or hi >= self.num_clusters:
-            raise ValueError(
-                f"labels out of range [-1, {self.num_clusters - 1}]: min {lo}, max {hi}"
-            )
-        # np.unique would import numpy.ma; labels are small non-negative ints
-        if np.count_nonzero(np.bincount(self.labels[self.labels >= 0])) != self.num_clusters:
+            raise ValueError(f"labels out of range [-1, {self.num_clusters - 1}]: min {lo}, max {hi}")
+        sizes = np.bincount(self.labels - NOISE, minlength=self.num_clusters + 1)
+        if np.count_nonzero(sizes[1:]) != self.num_clusters:
             raise ValueError("every cluster id must have at least one member")
+        self._order = np.argsort(self.labels, kind="stable")
+        self._order.flags.writeable = False
+        self._ends = np.cumsum(sizes)  # cluster k is _order[_ends[k] : _ends[k + 1]]
 
     def members(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == k)
+        if not 0 <= k < self.num_clusters:
+            raise ValueError(f"cluster id {k} out of range [0, {self.num_clusters})")
+        return self._order[self._ends[k] : self._ends[k + 1]]
 
 
 def dbscan(features, params: DbscanParams) -> PseudoLabels:
@@ -124,13 +131,8 @@ def compute_centroids(features, labels: PseudoLabels) -> np.ndarray:
     features = as_matrix(features, "features")
     if labels.labels.shape[0] != features.shape[0]:
         raise ValueError("labels do not match feature rows")
-    # one stable sort groups every cluster's members in ascending row order,
-    # after the noise rows, so each mean adds the rows a per-cluster scan would
-    order = np.argsort(labels.labels, kind="stable")
-    sizes = np.bincount(labels.labels[labels.labels >= 0], minlength=labels.num_clusters)
-    ends = np.count_nonzero(labels.labels == NOISE) + np.cumsum(sizes)
     centroids = np.empty((labels.num_clusters, features.shape[1]))
-    for k, (start, end) in enumerate(zip(ends - sizes, ends)):
-        centroids[k] = features[order[start:end]].mean(axis=0)
+    for k in range(labels.num_clusters):
+        centroids[k] = features[labels.members(k)].mean(axis=0)
     return l2_normalize_rows(centroids)
 

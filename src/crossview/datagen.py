@@ -42,8 +42,8 @@ class Corpus:
         ):
             if 0 in mat.shape:
                 raise DataError(f"{name} view is empty: {mat.shape[0]} rows x {mat.shape[1]} columns")
-            if loc is not None and loc.size != mat.shape[0]:
-                raise DataError(f"{name} labels do not match instance count")
+            if loc is not None and loc.shape != mat.shape[:1]:
+                raise DataError(f"{name} labels do not match instance count: shape {loc.shape}, {mat.shape[0]} rows")
 
     @property
     def has_ground_truth(self) -> bool:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from crossview.clustering import NOISE, PseudoLabels
 
 
 def finite_difference(f, x0, h=1e-5):
@@ -30,3 +33,12 @@ def unit_rows(rng, n, d):
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(20240817)
+
+
+@st.composite
+def labelings(draw):
+    """Shuffled pseudo-labels: 1 to 8 clusters of 1 to 10 rows each, plus 0
+    to 5 noise rows."""
+    sizes = draw(st.lists(st.integers(1, 10), min_size=1, max_size=8))
+    raw = np.repeat(np.arange(len(sizes)), sizes).tolist() + [NOISE] * draw(st.integers(0, 5))
+    return PseudoLabels(labels=np.array(draw(st.permutations(raw))), num_clusters=len(sizes))

@@ -5,7 +5,8 @@ per-query neighbourhood sets and losses (summed by ``reference_total``)
 for ``neighborhood_total``, the scalar refinement (``reference_vote``,
 ``reference_pipeline``) for ``label_refine``, the full-ranking
 Recall@K and AP for ``metrics.evaluate_retrieval``, and the one-update-
-at-a-time ``reference_blend_chain`` for ``kernels.blend_chain``.
+at-a-time ``reference_blend_chain`` for ``kernels.blend_chain``, and
+``sample_by_scan`` for ``training.sample_view_batch``.
 Below them sit small helpers that only the tests need."""
 
 import math
@@ -337,6 +338,16 @@ def reference_blend_chain(bank, ids, queries, w_old: float, w_new: float, renorm
                 )
             row = row / nrm
         bank[k] = row
+
+
+def sample_by_scan(labels: PseudoLabels, p: int, z: int, rng: Rng) -> np.ndarray:
+    """``sample_view_batch`` with each drawn cluster's rows found by a scan
+    of every label, making the same ``choice`` calls in the same order."""
+    picks = []
+    for k in rng.choice(labels.num_clusters, size=p, replace=False):
+        rows = np.flatnonzero(labels.labels == k)
+        picks.append(rows[rng.choice(rows.size, size=z, replace=rows.size < z)])
+    return np.concatenate(picks)
 
 
 def tilted_view_corpus(spec: SyntheticSpec, theta: float) -> Corpus:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,3 +534,28 @@ def test_small_corpus_entry_is_valid(tmp_path):
     # the corrupt-metrics cases above fail on the metrics file alone
     run = fake_run_dir(tmp_path, json.dumps({"corpus": SMALL_CORPUS}))
     assert run_cli(["diag", "--run", str(run)]) == 0
+
+
+def test_train_eval_diag_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma adds about 1.2 MB to the resident set of a run; plain np.unique
+    # and np.setdiff1d import it on their first call
+    out = tmp_path / "run"
+    commands = [
+        tiny_train_args(out, extra=("--refine-start-epoch", "0")),
+        ["eval", "--checkpoint", str(out / "checkpoint.dmpw"), "--run", str(out)],
+        ["diag", "--run", str(out)],
+    ]
+    script = (
+        "import json, sys, warnings\n"
+        "from crossview.cli import main\n"
+        "warnings.simplefilter('ignore')\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_rows
+from conftest import labelings, unit_rows
 from reference import noise_count
 from crossview.clustering import (
     NOISE,
@@ -129,6 +131,32 @@ class TestDbscan:
         out = dbscan(feats, DbscanParams(eps=0.4, min_pts=2))
         firsts = [out.members(k)[0] for k in range(out.num_clusters)]
         assert firsts == sorted(firsts)
+
+
+class TestPseudoLabels:
+    @given(labelings())
+    @settings(deadline=None, max_examples=100)
+    def test_members_match_label_scan(self, labels):
+        for k in range(labels.num_clusters):
+            np.testing.assert_array_equal(labels.members(k), np.flatnonzero(labels.labels == k))
+
+    @pytest.mark.parametrize("raw", [np.array([[0, 1], [1, 0]]), np.array(0)])
+    def test_labels_must_be_one_dimensional(self, raw):
+        with pytest.raises(ValueError, match=rf"1-D, got shape {re.escape(str(raw.shape))}"):
+            PseudoLabels(labels=raw, num_clusters=2)
+
+    @pytest.mark.parametrize("k", [-2, -1, 3])
+    def test_cluster_id_out_of_range_rejected(self, k):
+        # a negative id must not index the grouping from its end
+        labels = PseudoLabels(labels=np.array([0, 1, NOISE, 2, 1]), num_clusters=3)
+        with pytest.raises(ValueError, match="out of range"):
+            labels.members(k)
+
+    def test_members_are_read_only(self):
+        labels = PseudoLabels(labels=np.array([1, 0, 1]), num_clusters=2)
+        with pytest.raises(ValueError):
+            labels.members(1)[0] = 0
+        np.testing.assert_array_equal(labels.members(1), [0, 2])
 
 
 class TestReplicate:

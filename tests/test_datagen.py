@@ -76,6 +76,12 @@ class TestGroundTruthIsolation:
         with pytest.raises(DataError):
             corpus.ground_truth()
 
+    @pytest.mark.parametrize("drone_loc", [[[0, 1], [2, 3], [0, 1], [2, 3]], 0])
+    def test_location_array_must_be_one_dimensional(self, drone_loc):
+        # a 4 x 2 array has one entry per drone row but is no label vector
+        with pytest.raises(DataError, match="labels do not match instance count: shape"):
+            Corpus(np.eye(8), np.eye(8)[:4], drone_loc=drone_loc, sat_loc=[0, 1, 2, 3])
+
 
 class TestFeatureFiles:
     def test_round_trip_bit_identical_file(self, tmp_path):

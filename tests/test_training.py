@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import unit_rows
+from conftest import labelings, unit_rows
 from crossview import encoder
 from crossview.cluster_memory import init_memory
 from crossview.clustering import (
@@ -35,7 +37,7 @@ from crossview.training import (
     total_loss,
     write_metrics,
 )
-from reference import reference_total, tilted_view_corpus
+from reference import reference_total, sample_by_scan, tilted_view_corpus
 
 
 def tiny_config(**overrides):
@@ -164,6 +166,18 @@ class TestSampler:
         idx_d = sample_view_batch(labels, 2, 3, rng)
         idx_s = sample_view_batch(labels, 2, 3, rng)
         assert idx_d.shape == (6,) and idx_s.shape == (6,)
+
+    @given(labelings(), st.integers(1, 6), st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_matches_per_cluster_scan(self, labels, z, data):
+        # clusters of 1-10 rows against z of 1-6; p up to every cluster
+        p = data.draw(st.one_of(st.just(labels.num_clusters), st.integers(1, labels.num_clusters)))
+        seed = data.draw(st.integers(0, 2**32))
+        rng, ref_rng = Rng(seed), Rng(seed)
+        for _ in range(2):
+            got = sample_view_batch(labels, p, z, rng)
+            np.testing.assert_array_equal(got, sample_by_scan(labels, p, z, ref_rng))
+        assert rng._gen.bit_generator.state == ref_rng._gen.bit_generator.state
 
     def test_cluster_selection_uniform(self):
         labels = PseudoLabels(labels=np.arange(8).repeat(2), num_clusters=8)
