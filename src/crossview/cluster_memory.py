@@ -3,9 +3,10 @@ contrastive objective.
 
 Loss values inside a minibatch are always computed against the bank state
 at minibatch start; the per-query momentum updates are applied afterwards.
-Each row takes its queries in batch index order, one update after another;
-``kernels.blend_chain`` applies the t-th update of every row in one step,
-which gives the same bits as one update at a time. Centroid banks are
+Each row takes its queries in batch index order, one update after another.
+``kernels.blend_chain`` gathers the batch's rows once and applies the t-th
+update of every row as one in-place step on that block, which gives the
+same bits as one update at a time. Centroid banks are
 treated as constants when differentiating, so gradients flow only into
 the query embeddings. A bank is a plain (clusters x dim) array.
 """

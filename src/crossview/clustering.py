@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .numcore import as_matrix, l2_normalize_rows, pairwise_sim
+from .numcore import as_int_ids, as_matrix, l2_normalize_rows, pairwise_sim
 
 NOISE = -1
 BLOCK_ROWS = 64  # rows of the eps-graph built per similarity product
@@ -36,29 +36,32 @@ class DbscanParams:
 class PseudoLabels:
     """Per-instance integer assignment; -1 marks noise. The labels are fixed
     once built: one stable argsort groups the rows (noise first, then cluster
-    0, 1, ...), and ``members(k)`` is a read-only, ascending slice of it."""
+    0, 1, ...) into ``order``, where cluster k's rows, ascending, are
+    ``order[starts[k] : starts[k] + sizes[k]]``. All three are read-only."""
 
     labels: np.ndarray
     num_clusters: int
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = as_int_ids(self.labels, "labels must be integer cluster ids")
         if self.labels.ndim != 1:
             raise ValueError(f"labels must be 1-D, got shape {self.labels.shape}")
         lo, hi = self.labels.min(initial=NOISE), self.labels.max(initial=NOISE)
         if lo < NOISE or hi >= self.num_clusters:
             raise ValueError(f"labels out of range [-1, {self.num_clusters - 1}]: min {lo}, max {hi}")
-        sizes = np.bincount(self.labels - NOISE, minlength=self.num_clusters + 1)
-        if np.count_nonzero(sizes[1:]) != self.num_clusters:
+        counts = np.bincount(self.labels - NOISE, minlength=self.num_clusters + 1)
+        if np.count_nonzero(counts[1:]) != self.num_clusters:
             raise ValueError("every cluster id must have at least one member")
-        self._order = np.argsort(self.labels, kind="stable")
-        self._order.flags.writeable = False
-        self._ends = np.cumsum(sizes)  # cluster k is _order[_ends[k] : _ends[k + 1]]
+        self.order = np.argsort(self.labels, kind="stable")
+        self.starts = np.cumsum(counts)[:-1]
+        self.sizes = counts[1:]
+        for grouping in (self.order, self.starts, self.sizes):
+            grouping.flags.writeable = False
 
     def members(self, k: int) -> np.ndarray:
         if not 0 <= k < self.num_clusters:
             raise ValueError(f"cluster id {k} out of range [0, {self.num_clusters})")
-        return self._order[self._ends[k] : self._ends[k + 1]]
+        return self.order[self.starts[k] : self.starts[k] + self.sizes[k]]
 
 
 def dbscan(features, params: DbscanParams) -> PseudoLabels:

@@ -19,7 +19,7 @@ from .errors import (
     NonFiniteDataError,
     TruncatedFileError,
 )
-from .numcore import Rng, as_matrix, l2_normalize_rows
+from .numcore import Rng, as_int_ids, as_matrix, l2_normalize_rows
 
 FEATURE_MAGIC = b"DMFV"
 FEATURE_VERSION = 1
@@ -34,8 +34,8 @@ class Corpus:
         self.sat_raw = as_matrix(sat_raw, "satellite features")
         if self.drone_raw.shape[1] != self.sat_raw.shape[1]:
             raise DataError("view dimensions differ")
-        self._drone_loc = None if drone_loc is None else np.asarray(drone_loc, dtype=np.int64)
-        self._sat_loc = None if sat_loc is None else np.asarray(sat_loc, dtype=np.int64)
+        self._drone_loc = _locations(drone_loc, "drone")
+        self._sat_loc = _locations(sat_loc, "satellite")
         for name, loc, mat in (
             ("drone", self._drone_loc, self.drone_raw),
             ("satellite", self._sat_loc, self.sat_raw),
@@ -67,6 +67,15 @@ class Corpus:
         ):
             if unpaired:
                 raise DataError(f"location {min(unpaired)} has {has} instances but no {lacks} instance")
+
+
+def _locations(loc, name: str) -> np.ndarray | None:
+    if loc is None:
+        return None
+    try:
+        return as_int_ids(loc, f"{name} labels must be integer location ids")
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
 
 
 @dataclass

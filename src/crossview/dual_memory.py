@@ -5,8 +5,10 @@ Update order inside a minibatch: the adaptive coefficient beta is computed
 from the long-term bank as it stood before any of this minibatch's
 updates, the short-term bank blends toward that same pre-update long-term
 state, then each long-term row absorbs its queries one after another in
-batch order (``kernels.blend_chain``), and the fused bank is rebuilt from
-the refreshed pair.
+batch order, and the fused bank is rebuilt from the refreshed pair.
+``kernels.blend_chain`` runs the long-term updates on one gathered block of
+the batch's rows, the t-th update of every row in one in-place step, with
+the same bits as one update at a time.
 """
 
 from dataclasses import dataclass

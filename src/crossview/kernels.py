@@ -4,8 +4,9 @@
 clustering's epsilon graph; in training it runs once per view and epoch
 over that view's own rows. It is a plain Python loop over lists.
 ``blend_chain`` applies the sequential per-query memory blends, once per
-minibatch and bank, as one numpy step per occurrence layer of the batch's
-ids.
+minibatch and bank: it gathers the batch's bank rows once into a block,
+blends a prefix of that block in place per occurrence layer of the
+batch's ids, and scatters the block back once.
 """
 
 import numpy as np
@@ -56,48 +57,63 @@ def blend_chain(bank, ids, queries, w_old: float, w_new: float, renorm: bool) ->
     the earliest such batch position, with the earlier updates already
     applied.
 
-    The t-th occurrences of the ids form layer t. Ids within a layer are
-    distinct, so a layer is one gather-blend-scatter, and running the
-    layers in order gives every row its updates in batch order, with the
-    same arithmetic per row as one update at a time.
+    The t-th updates of the distinct ids form layer t. The ids are ordered
+    by update count, descending, so each layer is a prefix of them; their
+    bank rows are gathered once into a block, each layer blends a prefix of
+    that block in place, and the block is scattered back once. Every row
+    gets the same arithmetic, in the same order, as one update at a time.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    queries = np.asarray(queries)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    occurrence = np.empty_like(ids)
-    # a run of equal sorted ids starts where searchsorted puts its id
-    occurrence[order] = np.arange(ids.size) - np.searchsorted(sorted_ids, sorted_ids)
-    # batch positions grouped by layer, ascending within each layer
-    by_layer = np.argsort(occurrence, kind="stable")
-    layers = np.split(by_layer, np.cumsum(np.bincount(occurrence))[:-1])
-    saved = bank[ids]
-    stop = _blend_layers(bank, ids, queries, layers, w_old, w_new, renorm)
+    queries = np.asarray(queries, dtype=np.float64)
+    stop = _blend_layers(bank, ids, queries, w_old, w_new, renorm)
     if stop < ids.size:
-        # a later layer may collapse an earlier batch position: rewind and
-        # apply only what comes before the earliest collapse
-        bank[ids] = saved
-        _blend_layers(bank, ids, queries, [pos[pos < stop] for pos in layers], w_old, w_new, renorm)
+        # a later layer may collapse an earlier batch position: apply only
+        # what comes before the earliest collapse, where none collapses
+        _blend_layers(bank, ids[:stop], queries[:stop], w_old, w_new, renorm)
         raise DegenerateInputError(
             f"memory row {ids[stop]} collapsed to zero norm at batch position {stop}"
         )
 
 
-def _blend_layers(bank, ids, queries, layers, w_old, w_new, renorm) -> int:
-    """Blend each layer of batch positions in one step; return the earliest
-    position whose row reached zero norm, or ids.size when none did."""
-    stop = ids.size
-    for pos in layers:
-        k = ids[pos]
-        rows = w_old * bank[k] + w_new * queries[pos]
+def _blend_layers(bank, ids, queries, w_old, w_new, renorm) -> int:
+    """Blend every layer and return ids.size, or, when some row reached
+    zero norm, return the earliest such batch position and leave the bank
+    untouched."""
+    n = ids.size
+    if n == 0:
+        return n
+    order = np.argsort(ids, kind="stable")  # batch positions grouped by id, ascending within
+    sorted_ids = ids[order]
+    edges = np.ones(n + 1, dtype=bool)
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=edges[1:-1])
+    edges = np.flatnonzero(edges)
+    counts = np.diff(edges)  # updates per distinct id
+    by_count = np.argsort(-counts, kind="stable")
+    starts, counts = edges[by_count], counts[by_count]
+    depth = np.arange(counts[0])
+    # table[t, j] is the batch position of the t-th update of row j; past
+    # a row's count it is a clipped stand-in that no layer reads
+    table = order[np.minimum(starts + depth[:, None], n - 1)]
+    pulls = queries[table]
+    pulls *= w_new
+    keys = sorted_ids[starts]
+    rows = bank[keys]
+    stop = n
+    # layer t blends the rows updated more than t times, a prefix of keys
+    widths = np.count_nonzero(counts > depth[:, None], axis=1)
+    for t, width in enumerate(widths.tolist()):
+        block = rows[:width]
+        block *= w_old
+        block += pulls[t, :width]
         if renorm:
-            nrm = np.sqrt(np.vecdot(rows, rows))
-            zero = nrm == 0.0
-            if zero.any():
-                stop = min(stop, int(pos[zero][0]))
-                nrm[zero] = 1.0  # the caller rewinds; keep the row finite
-            rows /= nrm[:, None]
-        bank[k] = rows
+            nrm = np.sqrt(np.vecdot(block, block))
+            if not nrm.all():
+                zero = nrm == 0.0
+                stop = min(stop, int(table[t, :width][zero].min()))
+                nrm[zero] = 1.0  # the rows are dropped; keep them finite
+            block /= nrm[:, None]
+    if stop == n:
+        bank[keys] = rows
     return stop
 
 

@@ -18,7 +18,7 @@ the index-aware count of the tie rule.
 
 import numpy as np
 
-from .numcore import pairwise_sim
+from .numcore import as_int_ids, pairwise_sim
 
 RECALL_KS = (1, 5, 10)
 SCORE_KEYS = ("r1_ds", "r5_ds", "r10_ds", "ap_ds", "r1_sd", "r5_sd", "r10_sd", "ap_sd")
@@ -104,11 +104,7 @@ def evaluate_retrieval(emb_d, emb_s, gt_d, gt_s) -> dict:
 
 
 def _labels(gt, rows: int, side: str) -> np.ndarray:
-    raw = np.asarray(gt)
-    with np.errstate(invalid="ignore"):
-        gt = raw.astype(np.int64)
-    if not np.array_equal(gt, raw):
-        raise ValueError(f"{side} labels must be integer location ids")
+    gt = as_int_ids(gt, f"{side} labels must be integer location ids")
     if gt.shape != (rows,):
         raise ValueError(f"{side} labels have shape {gt.shape}, expected ({rows},)")
     return gt

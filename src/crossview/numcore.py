@@ -11,6 +11,7 @@ from .errors import DegenerateInputError, NumericError
 
 __all__ = [
     "Rng",
+    "as_int_ids",
     "as_matrix",
     "ensure_finite",
     "row_norms",
@@ -27,6 +28,17 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
     ensure_finite(out, name)
     return out
+
+
+def as_int_ids(a, message: str) -> np.ndarray:
+    """Cast to int64. A value the cast would change (a fraction, NaN, a
+    float beyond int64) is a ValueError carrying ``message``."""
+    raw = np.asarray(a)
+    with np.errstate(invalid="ignore"):
+        ids = raw.astype(np.int64)
+    if not np.array_equal(ids, raw):
+        raise ValueError(message)
+    return ids
 
 
 def ensure_finite(a, what: str = "array") -> None:
@@ -112,3 +124,7 @@ class Rng:
 
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
+
+    def integers(self, low, high, size) -> np.ndarray:
+        """int64 draws in [low, high); the bounds broadcast against size."""
+        return self._gen.integers(low, high, size=size)

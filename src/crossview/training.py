@@ -111,18 +111,30 @@ class TotalLoss:
 def sample_view_batch(labels: PseudoLabels, p: int, z: int, rng: Rng) -> np.ndarray:
     """Pick p distinct clusters uniformly, then z members each (with
     replacement only when the cluster is smaller than z). Noise-labeled
-    instances are never sampled."""
+    instances are never sampled.
+
+    The draws are those of one ``choice(size, z)`` per drawn cluster, in
+    order. A run of consecutive clusters smaller than z takes them from one
+    ``integers`` call, which numpy fills element by element the same way;
+    a larger cluster keeps its own ``choice`` without replacement. The rows
+    come from one gather of the labels' grouping."""
     if labels.num_clusters < p:
         raise ValueError(
             f"need {p} clusters but only {labels.num_clusters} are available"
         )
     chosen = rng.choice(labels.num_clusters, size=p, replace=False)
-    picks = []
-    for k in chosen:
-        members = labels.members(int(k))
-        idx = rng.choice(members.size, size=z, replace=members.size < z)
-        picks.append(members[idx])
-    return np.concatenate(picks)
+    sizes = labels.sizes[chosen]
+    small = sizes < z
+    picks = np.empty((p, z), dtype=np.int64)
+    # runs of consecutive clusters on the same side of z
+    cuts = (np.flatnonzero(small[1:] != small[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [p]):
+        if small[lo]:
+            picks[lo:hi] = rng.integers(0, sizes[lo:hi, None], (hi - lo, z))
+        else:
+            for i in range(lo, hi):
+                picks[i] = rng.choice(int(sizes[i]), size=z, replace=False)
+    return labels.order[labels.starts[chosen][:, None] + picks].ravel()
 
 
 def total_loss(batch: Batch, memories: EpochMemories, config: TrainConfig) -> TotalLoss:

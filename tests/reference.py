@@ -341,8 +341,9 @@ def reference_blend_chain(bank, ids, queries, w_old: float, w_new: float, renorm
 
 
 def sample_by_scan(labels: PseudoLabels, p: int, z: int, rng: Rng) -> np.ndarray:
-    """``sample_view_batch`` with each drawn cluster's rows found by a scan
-    of every label, making the same ``choice`` calls in the same order."""
+    """``sample_view_batch`` one cluster at a time: each drawn cluster's rows
+    found by a scan of every label, and one ``choice`` call per cluster, in
+    order, where the sampler draws a run of small clusters at once."""
     picks = []
     for k in rng.choice(labels.num_clusters, size=p, replace=False):
         rows = np.flatnonzero(labels.labels == k)

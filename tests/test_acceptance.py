@@ -57,6 +57,16 @@ COMMON_ARGS = [
     "--seed", "38", "--iters-per-epoch", "32", "--smoothing-keep", "1",
 ]
 RUN_ARGS = COMMON_ARGS + ["--epochs", "30"]
+# The dual-memory ablation at P=32, Z=8 (perfbench's train-memory shape):
+# every drone cluster is drawn without replacement and every satellite
+# cluster is a singleton. Its output bytes are pinned below.
+MEMORY_RUN_ARGS = COMMON_ARGS + [
+    "--epochs", "3", "--ablation", "dual-memory", "--p-classes", "32", "--z-instances", "8",
+]
+MEMORY_RUN_SHA256 = {
+    "metrics.jsonl": "79b8fd38b3a7fb9529a87a7c81eab8bf5a6d6ff6824b067e2dac62ec9bb4a889",
+    "checkpoint.dmpw": "a994f3dca73220d62275b6c83bd9cf3d983db05e630ed5939d13b8bde9f6c165",
+}
 BASELINE_UNTRAINED_R1 = 1 / 512  # 0.001953125
 BASELINE_TRAINED_R1 = 10 / 512  # 0.01953125
 BASELINE_CLUSTERS = (64, 64)
@@ -417,6 +427,15 @@ def test_criterion_7_deterministic_reruns(canonical_run):
     digest_b = hashlib.sha256(bytes_b).hexdigest()
     assert digest_a == digest_b
     print(f"ACCEPTANCE 7: PASS (metrics sha256 {digest_a[:16]}... identical)")
+
+
+def test_criterion_7_memory_shape_bytes_pinned(tmp_path):
+    run_cli(["train", "--out", str(tmp_path)] + CORPUS_ARGS + MEMORY_RUN_ARGS, _cli_env())
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in MEMORY_RUN_SHA256
+    }
+    assert digests == MEMORY_RUN_SHA256
+    print("ACCEPTANCE 7: PASS (dual-memory P=32 Z=8 run bytes match the pinned sha256)")
 
 
 def test_criterion_8_refinement_recovers_separable_corpus():

@@ -145,6 +145,11 @@ class TestPseudoLabels:
         with pytest.raises(ValueError, match=rf"1-D, got shape {re.escape(str(raw.shape))}"):
             PseudoLabels(labels=raw, num_clusters=2)
 
+    def test_fractional_labels_rejected(self):
+        # an int64 cast would truncate them to [0, 1] without a word
+        with pytest.raises(ValueError, match="labels must be integer cluster ids"):
+            PseudoLabels(labels=np.array([0.5, 1.7]), num_clusters=2)
+
     @pytest.mark.parametrize("k", [-2, -1, 3])
     def test_cluster_id_out_of_range_rejected(self, k):
         # a negative id must not index the grouping from its end

@@ -82,6 +82,11 @@ class TestGroundTruthIsolation:
         with pytest.raises(DataError, match="labels do not match instance count: shape"):
             Corpus(np.eye(8), np.eye(8)[:4], drone_loc=drone_loc, sat_loc=[0, 1, 2, 3])
 
+    def test_fractional_location_rejected(self):
+        # an int64 cast would turn 0.9 into 0 and pair it with satellite 0
+        with pytest.raises(DataError, match="drone labels must be integer location ids"):
+            Corpus(np.eye(2), np.eye(2), drone_loc=[0.9, 1], sat_loc=[0, 1])
+
 
 class TestFeatureFiles:
     def test_round_trip_bit_identical_file(self, tmp_path):

@@ -75,6 +75,41 @@ class TestBlendChain:
         assert got.tobytes() == want.tobytes()
         assert got_msg == want_msg is None
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.integers(1, 4),
+        st.booleans(),
+        st.floats(0.0, 0.5),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_collapses_match_per_update_loop(self, seed, sampler_shaped, dim, renorm, cancel_share):
+        # integer-valued banks and queries blended half and half: a query
+        # equal to minus its row's state cancels it exactly, so rows reach
+        # zero norm in any layer and at any batch position
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 12))
+        if sampler_shaped:
+            p = int(rng.integers(1, rows + 1))
+            ids = np.repeat(rng.choice(rows, size=p, replace=False), int(rng.integers(1, 9)))
+        else:
+            ids = rng.integers(0, rows, size=int(rng.integers(0, 40)))
+        bank = rng.integers(-2, 3, size=(rows, dim)).astype(np.float64)
+        queries = rng.integers(-2, 3, size=(ids.size, dim)).astype(np.float64)
+        cancel = rng.random(ids.size) < cancel_share
+        state = bank.copy()  # each row as the loop leaves it, a zero norm left unscaled
+        for pos, k in enumerate(ids.tolist()):
+            if cancel[pos]:
+                queries[pos] = -state[k]
+            row = 0.5 * state[k] + 0.5 * queries[pos]
+            nrm = np.sqrt(row @ row)
+            state[k] = row / nrm if renorm and nrm else row
+        got, got_msg, want, want_msg = blend_both(bank, ids, queries, 0.5, 0.5, renorm)
+        assert got.tobytes() == want.tobytes()
+        assert got_msg == want_msg
+        if renorm and cancel.any():
+            assert want_msg is not None
+
     def test_collapse_names_earliest_position_across_layers(self):
         # row 0 collapses at position 2 (its third occurrence, layer 2) and
         # row 1 at position 3 (its first, layer 0): position 2 is reported,

@@ -195,3 +195,25 @@ class TestRng:
         child_a = uniform_stream(parent.derive(5), 32)
         child_b = uniform_stream(Rng(99).derive(5), 32)
         np.testing.assert_array_equal(child_a, child_b)
+
+    @given(
+        st.lists(st.integers(1, 9), min_size=1, max_size=12),
+        st.integers(1, 10),
+        st.integers(0, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_integers_run_matches_sequential_choice(self, sizes, z, lead, seed):
+        # the sampler draws a run of clusters smaller than z with one
+        # integers call; numpy must fill it as it fills one choice(n, z,
+        # replace=True) per cluster. An odd-sized lead draw leaves half of
+        # a 64-bit word buffered, as a drawn run of odd length would.
+        sizes = [1] + sizes  # a one-row cluster draws no bits at all
+        run, per_cluster = Rng(seed), Rng(seed)
+        run.choice(7, size=lead, replace=True)
+        per_cluster.choice(7, size=lead, replace=True)
+        got = run.integers(0, np.array(sizes)[:, None], (len(sizes), z))
+        want = np.stack([per_cluster.choice(n, size=z, replace=True) for n in sizes])
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert run._gen.bit_generator.state == per_cluster._gen.bit_generator.state
