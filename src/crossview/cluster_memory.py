@@ -3,10 +3,10 @@ contrastive objective.
 
 Loss values inside a minibatch are always computed against the bank state
 at minibatch start; the per-query momentum updates are applied afterwards.
-Each row takes its queries in batch index order, one update after another.
-``kernels.blend_chain`` gathers the batch's rows once and applies the t-th
-update of every row as one in-place step on that block, which gives the
-same bits as one update at a time. Centroid banks are
+A batch is P distinct clusters times Z queries, cluster-major, as the
+sampler draws it; ``kernels.blend_chain`` gathers the P rows once and
+applies the t-th query of every cluster as one in-place step on that
+block, the same bits as one update at a time. Centroid banks are
 treated as constants when differentiating, so gradients flow only into
 the query embeddings. A bank is a plain (clusters x dim) array.
 """
@@ -28,15 +28,12 @@ def init_memory(centroids) -> np.ndarray:
     return centroids
 
 
-def momentum_update_batch(bank: np.ndarray, cluster_ids, queries, config: TrainConfig) -> np.ndarray:
-    """Sequential in-place momentum updates for a whole batch, in index order."""
-    cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
-    if cluster_ids.size and (cluster_ids.min() < 0 or cluster_ids.max() >= bank.shape[0]):
-        raise ValueError("cluster id out of range")
+def momentum_update_batch(bank: np.ndarray, queries, clusters, config: TrainConfig) -> np.ndarray:
+    """In-place momentum updates, Z queries per distinct cluster, cluster-major."""
     kernels.blend_chain(
         bank,
-        cluster_ids,
         as_matrix(queries, "queries"),
+        clusters,
         config.momentum,
         1.0 - config.momentum,
         config.renormalize_memory,

@@ -5,10 +5,11 @@ Update order inside a minibatch: the adaptive coefficient beta is computed
 from the long-term bank as it stood before any of this minibatch's
 updates, the short-term bank blends toward that same pre-update long-term
 state, then each long-term row absorbs its queries one after another in
-batch order, and the fused bank is rebuilt from the refreshed pair.
-``kernels.blend_chain`` runs the long-term updates on one gathered block of
-the batch's rows, the t-th update of every row in one in-place step, with
-the same bits as one update at a time.
+batch order, and the fused bank is rebuilt from the refreshed pair. The
+updates take the batch's P distinct clusters (Z queries each,
+cluster-major); beta and the losses take the per-query ids.
+``kernels.blend_chain`` runs the long-term updates on one gathered block
+of the P rows, the t-th query of every cluster in one in-place step.
 """
 
 from dataclasses import dataclass
@@ -56,12 +57,10 @@ def _long_term_weights(config: TrainConfig) -> tuple[float, float]:
     return hist, new
 
 
-def update_long_term_batch(dm: DualMemory, cluster_ids, queries, config: TrainConfig) -> DualMemory:
-    cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
-    if cluster_ids.size and (cluster_ids.min() < 0 or cluster_ids.max() >= dm.num_clusters):
-        raise ValueError("cluster id out of range")
+def update_long_term_batch(dm: DualMemory, queries, clusters, config: TrainConfig) -> DualMemory:
+    """Z queries for each of the P distinct ``clusters``, cluster-major."""
     hist, new = _long_term_weights(config)
-    kernels.blend_chain(dm.long_term, cluster_ids, as_matrix(queries, "queries"), hist, new, True)
+    kernels.blend_chain(dm.long_term, as_matrix(queries, "queries"), clusters, hist, new, True)
     return dm
 
 
@@ -79,12 +78,12 @@ def compute_beta(batch_queries, dm: DualMemory, cluster_ids) -> float:
     return float(1.0 / (1.0 + np.exp(-mean_dist)))
 
 
-def update_short_term(dm: DualMemory, beta: float, clusters_in_batch) -> DualMemory:
-    """Blend batch-present short-term rows toward the long-term bank."""
-    ids = np.asarray(clusters_in_batch, dtype=np.int64)
+def update_short_term(dm: DualMemory, beta: float, clusters) -> DualMemory:
+    """Blend the short-term rows of the batch's distinct clusters toward the
+    long-term bank."""
+    ids = np.asarray(clusters, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= dm.num_clusters):
         raise ValueError("cluster id out of range")
-    ids = np.flatnonzero(np.bincount(ids))  # sorted distinct ids
     blended = beta * dm.long_term[ids] + (1.0 - beta) * dm.short_term[ids]
     dm.short_term[ids] = l2_normalize_rows(blended)
     return dm

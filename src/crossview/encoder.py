@@ -16,10 +16,11 @@ from .errors import (
     BadMagicError,
     DataError,
     DegenerateInputError,
+    NonFiniteDataError,
     NumericError,
     TruncatedFileError,
 )
-from .numcore import Rng, as_matrix, ensure_finite, row_norms
+from .numcore import Rng, as_matrix, row_norms
 
 COLLAPSE_NORM = 1e-12
 
@@ -189,7 +190,9 @@ def load_params(path) -> EncoderParams:
     version, ndims = struct.unpack_from("<II", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise BadMagicError(f"{path}: unsupported checkpoint version {version}")
-    if ndims != 3 or len(blob) < 12 + 4 * ndims:
+    if ndims != 3:
+        raise DataError(f"{path}: unsupported dimension count {ndims}; a checkpoint has 3")
+    if len(blob) < 12 + 4 * ndims:
         raise TruncatedFileError(f"{path}: dimension block truncated")
     input_dim, hidden_dim, embed_dim = struct.unpack_from(f"<{ndims}I", blob, 12)
     if 0 in (input_dim, hidden_dim, embed_dim):
@@ -203,7 +206,8 @@ def load_params(path) -> EncoderParams:
             f"{path}: expected {8 * count} payload bytes, found {len(payload)}"
         )
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    ensure_finite(flat, "checkpoint payload")
+    if not np.isfinite(flat).all():
+        raise NonFiniteDataError(f"{path}: payload contains non-finite values")
     like = EncoderParams(
         w1=np.empty((hidden_dim, input_dim)),
         b1=np.empty(hidden_dim),

@@ -4,9 +4,10 @@
 clustering's epsilon graph; in training it runs once per view and epoch
 over that view's own rows. It is a plain Python loop over lists.
 ``blend_chain`` applies the sequential per-query memory blends, once per
-minibatch and bank: it gathers the batch's bank rows once into a block,
-blends a prefix of that block in place per occurrence layer of the
-batch's ids, and scatters the block back once.
+minibatch and bank, along the sampler's layout of P distinct clusters
+times Z queries each: it gathers the P bank rows once into a block,
+blends column t of the queries into that block in place as layer t, and
+scatters the block back once.
 """
 
 import numpy as np
@@ -49,71 +50,64 @@ def expand_clusters(indptr, indices, core) -> np.ndarray:
     return np.array(labels, dtype=np.int64)
 
 
-def blend_chain(bank, ids, queries, w_old: float, w_new: float, renorm: bool) -> None:
-    """Apply bank[id] <- w_old*bank[id] + w_new*query in place, in batch order.
+def blend_chain(bank, queries, clusters, w_old: float, w_new: float, renorm: bool) -> None:
+    """Apply bank[c] <- w_old*bank[c] + w_new*query in place, in batch order.
 
-    With ``renorm`` each blended row is scaled to unit norm; a row that
-    collapses to zero norm raises DegenerateInputError naming the row and
-    the earliest such batch position, with the earlier updates already
-    applied.
+    ``clusters`` holds P distinct bank rows; ``queries`` holds Z rows for
+    each of them, cluster-major as the sampler draws them: row c's updates
+    are queries c*Z ... c*Z+Z-1, applied in that order. With ``renorm`` each
+    blended row is scaled to unit norm; a row that collapses to zero norm
+    raises DegenerateInputError naming the row and the earliest such batch
+    position, with the earlier updates already applied.
 
-    The t-th updates of the distinct ids form layer t. The ids are ordered
-    by update count, descending, so each layer is a prefix of them; their
-    bank rows are gathered once into a block, each layer blends a prefix of
-    that block in place, and the block is scattered back once. Every row
-    gets the same arithmetic, in the same order, as one update at a time.
+    The rows are gathered once into a block; layer t blends column t of
+    the (P, Z) layout into it in place, and the block is scattered back
+    once. Every row gets the same arithmetic, in the same order, as one
+    update at a time.
     """
-    ids = np.asarray(ids, dtype=np.int64)
+    clusters = np.asarray(clusters, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.float64)
-    stop = _blend_layers(bank, ids, queries, w_old, w_new, renorm)
-    if stop < ids.size:
+    p, n = clusters.size, queries.shape[0]
+    z, ragged = divmod(n, p) if p else (0, n)
+    if ragged:
+        raise ValueError(f"{n} queries do not split evenly over {p} clusters")
+    ordered = np.sort(clusters)
+    if p and (ordered[0] < 0 or ordered[-1] >= bank.shape[0]):
+        raise ValueError("cluster id out of range")
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("repeated cluster in batch")
+    pulls = queries.reshape(p, z, queries.shape[1]) * w_new
+    stop = _blend_layers(bank, clusters, pulls, [p] * z, w_old, renorm)
+    if stop < n:
         # a later layer may collapse an earlier batch position: apply only
         # what comes before the earliest collapse, where none collapses
-        _blend_layers(bank, ids[:stop], queries[:stop], w_old, w_new, renorm)
+        widths = [min(p, -(-(stop - t) // z)) for t in range(min(z, stop))]
+        _blend_layers(bank, clusters, pulls, widths, w_old, renorm)
         raise DegenerateInputError(
-            f"memory row {ids[stop]} collapsed to zero norm at batch position {stop}"
+            f"memory row {clusters[stop // z]} collapsed to zero norm at batch position {stop}"
         )
 
 
-def _blend_layers(bank, ids, queries, w_old, w_new, renorm) -> int:
-    """Blend every layer and return ids.size, or, when some row reached
-    zero norm, return the earliest such batch position and leave the bank
-    untouched."""
-    n = ids.size
-    if n == 0:
-        return n
-    order = np.argsort(ids, kind="stable")  # batch positions grouped by id, ascending within
-    sorted_ids = ids[order]
-    edges = np.ones(n + 1, dtype=bool)
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=edges[1:-1])
-    edges = np.flatnonzero(edges)
-    counts = np.diff(edges)  # updates per distinct id
-    by_count = np.argsort(-counts, kind="stable")
-    starts, counts = edges[by_count], counts[by_count]
-    depth = np.arange(counts[0])
-    # table[t, j] is the batch position of the t-th update of row j; past
-    # a row's count it is a clipped stand-in that no layer reads
-    table = order[np.minimum(starts + depth[:, None], n - 1)]
-    pulls = queries[table]
-    pulls *= w_new
-    keys = sorted_ids[starts]
-    rows = bank[keys]
-    stop = n
-    # layer t blends the rows updated more than t times, a prefix of keys
-    widths = np.count_nonzero(counts > depth[:, None], axis=1)
-    for t, width in enumerate(widths.tolist()):
+def _blend_layers(bank, clusters, pulls, widths, w_old, renorm) -> int:
+    """Blend the first widths[t] rows with column t of ``pulls`` for every
+    layer t and return P*Z, or, when some row reached zero norm, return the
+    earliest such batch position and leave the bank untouched."""
+    p, z = pulls.shape[:2]
+    rows = bank[clusters]
+    stop = p * z
+    for t, width in enumerate(widths):
         block = rows[:width]
         block *= w_old
-        block += pulls[t, :width]
+        block += pulls[:width, t]
         if renorm:
             nrm = np.sqrt(np.vecdot(block, block))
             if not nrm.all():
-                zero = nrm == 0.0
-                stop = min(stop, int(table[t, :width][zero].min()))
+                zero = np.flatnonzero(nrm == 0.0)
+                stop = min(stop, int(zero[0]) * z + t)
                 nrm[zero] = 1.0  # the rows are dropped; keep them finite
             block /= nrm[:, None]
-    if stop == n:
-        bank[keys] = rows
+    if stop == p * z:
+        bank[clusters] = rows
     return stop
 
 

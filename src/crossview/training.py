@@ -111,7 +111,8 @@ class TotalLoss:
 def sample_view_batch(labels: PseudoLabels, p: int, z: int, rng: Rng) -> np.ndarray:
     """Pick p distinct clusters uniformly, then z members each (with
     replacement only when the cluster is smaller than z). Noise-labeled
-    instances are never sampled.
+    instances are never sampled. Rows come cluster-major, z per drawn
+    cluster, so the batch's distinct clusters are its labels ``[::z]``.
 
     The draws are those of one ``choice(size, z)`` per drawn cluster, in
     order. A run of consecutive clusters smaller than z takes them from one
@@ -300,16 +301,18 @@ class Trainer:
             grads = encoder.backward(self.params, tape_d, losses.drone_grads)
             grads += encoder.backward(self.params, tape_s, losses.sat_grads)
             self.params = encoder.sgd_step(self.params, grads, lr)
-            momentum_update_batch(memories.mem_d, batch.drone_cluster_ids, q_d, cfg)
-            momentum_update_batch(memories.mem_s, batch.sat_cluster_ids, q_s, cfg)
+            clusters_d = batch.drone_cluster_ids[:: cfg.z_instances]
+            clusters_s = batch.sat_cluster_ids[:: cfg.z_instances]
+            momentum_update_batch(memories.mem_d, q_d, clusters_d, cfg)
+            momentum_update_batch(memories.mem_s, q_s, clusters_s, cfg)
             if cfg.enable_dual:
-                for dm, ids, q in (
-                    (memories.dual_d, batch.drone_cluster_ids, q_d),
-                    (memories.dual_s, batch.sat_cluster_ids, q_s),
+                for dm, ids, clusters, q in (
+                    (memories.dual_d, batch.drone_cluster_ids, clusters_d, q_d),
+                    (memories.dual_s, batch.sat_cluster_ids, clusters_s, q_s),
                 ):
                     beta = compute_beta(q, dm, ids)
-                    update_short_term(dm, beta, ids)
-                    update_long_term_batch(dm, ids, q, cfg)
+                    update_short_term(dm, beta, clusters)
+                    update_long_term_batch(dm, q, clusters, cfg)
                     refresh_fused(dm, cfg)
         means = sums / iters
         record = self._evaluate_epoch(labels_d, labels_s, memories, means, started)

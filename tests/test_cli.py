@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -352,6 +353,25 @@ class TestEval:
         for checkpoint in (bad, tmp_path / "nowhere.dmpw", tmp_path, *zero_dims):
             argv = ["eval", "--checkpoint", str(checkpoint), "--corpus-dir", str(data)]
             assert run_cli(argv) == 3
+
+    def test_unreadable_checkpoint_payloads_exit_3(self, tmp_path, capsys):
+        # a non-finite payload is a data error, as it is in a feature file,
+        # and so is a complete checkpoint that declares 4 dimensions
+        data = tmp_path / "data"
+        run_cli(["generate", "--out", str(data), "--locations", "4", "--latent-dim", "3", "--input-dim", "6"])
+        params = init_params(Rng(0), 6, 4, 3)
+        params.w2[1, 2] = np.nan
+        nan = tmp_path / "nan.dmpw"
+        save_params(params, nan)
+        blob = bytearray(nan.read_bytes())
+        struct.pack_into("<I", blob, 8, 4)
+        four = tmp_path / "four.dmpw"
+        four.write_bytes(bytes(blob[:24]) + struct.pack("<I", 1) + bytes(blob[24:]))
+        for checkpoint, message in ((nan, "payload contains non-finite values"), (four, "dimension count 4")):
+            capsys.readouterr()
+            assert run_cli(["eval", "--checkpoint", str(checkpoint), "--corpus-dir", str(data)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and message in err
 
     def test_dim_mismatch_exit_3(self, tmp_path):
         out = tmp_path / "run"

@@ -1,6 +1,7 @@
-"""``crossview train`` on drawn corpora and settings, in-process: every run
-ends in one of the CLI's exit codes, never in a traceback, and a run that
-succeeds writes the same bytes when it is repeated."""
+"""``crossview train`` on drawn corpora and settings, and ``crossview eval``
+on damaged input files, in-process: every run ends in one of the CLI's exit
+codes, never in a traceback, and a training run that succeeds writes the
+same bytes when it is repeated."""
 
 import io
 import tempfile
@@ -9,11 +10,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from crossview.cli import main
+from crossview.cli import DRONE_FILE, SAT_FILE, main
 from crossview.config import ABLATIONS, UPDATE_RULES, TrainConfig
+from crossview.datagen import SyntheticSpec, generate, save_corpus
+from crossview.encoder import init_params, save_params
+from crossview.numcore import Rng
 
 HUGE = 1e300
 
@@ -94,16 +99,20 @@ def train_args(draw) -> list[str]:
     return args + draw(st.sampled_from([[], *(["--ablation", name] for name in sorted(ABLATIONS))]))
 
 
-def run_train(args: list[str], out: Path) -> tuple[int, str]:
+def run_cli(argv: list[str]) -> tuple[int, str]:
     """Exit code and everything printed; argparse's exit counts as a code."""
     printed = io.StringIO()
     with redirect_stdout(printed), redirect_stderr(printed), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            code = main(["train", "--out", str(out), *args])
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     return code, printed.getvalue()
+
+
+def run_train(args: list[str], out: Path) -> tuple[int, str]:
+    return run_cli(["train", "--out", str(out), *args])
 
 
 @given(train_args())
@@ -119,3 +128,36 @@ def test_train_exits_with_a_typed_code(args):
             assert run_train(args, second)[0] == 0
             for name in ("metrics.jsonl", "checkpoint.dmpw"):
                 assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+CHECKPOINT = "checkpoint.dmpw"
+
+
+@pytest.fixture(scope="module")
+def eval_files(tmp_path_factory) -> dict[str, bytes]:
+    """The bytes of a small labelled corpus and of a checkpoint that fits it."""
+    tmp = tmp_path_factory.mktemp("eval-inputs")
+    spec = SyntheticSpec(num_locations=4, latent_dim=3, input_dim=6, drone_per_loc=2, seed=5)
+    save_corpus(generate(spec), tmp / DRONE_FILE, tmp / SAT_FILE)
+    save_params(init_params(Rng(0), 6, 4, 3), tmp / CHECKPOINT)
+    return {name: (tmp / name).read_bytes() for name in (CHECKPOINT, DRONE_FILE, SAT_FILE)}
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_eval_of_a_damaged_file_exits_with_a_typed_code(eval_files, data):
+    # one of the three files cut short or with one bit flipped
+    name = data.draw(st.sampled_from(sorted(eval_files)), label="file")
+    blob = bytearray(eval_files[name])
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+        blob[bit // 8] ^= 1 << bit % 8
+    with tempfile.TemporaryDirectory() as tmp:
+        for other, clean in eval_files.items():
+            Path(tmp, other).write_bytes(bytes(blob) if other == name else clean)
+        code, printed = run_cli(["eval", "--checkpoint", str(Path(tmp, CHECKPOINT)), "--corpus-dir", tmp])
+    event(f"exit {code}")
+    assert code in (0, 3, 4), printed
+    assert "Traceback" not in printed

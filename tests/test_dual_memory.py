@@ -50,19 +50,19 @@ class TestLongTermUpdate:
     def test_hand_value_damped(self):
         cfg = config(momentum=0.2)
         dm = init_dual(np.eye(2), cfg)
-        update_long_term_batch(dm, [0], np.array([[0.0, 1.0]]), cfg)
+        update_long_term_batch(dm, np.array([[0.0, 1.0]]), [0], cfg)
         np.testing.assert_allclose(dm.long_term[0], [0.83205029, 0.55470020], atol=1e-8)
 
     def test_query_equal_to_row_keeps_direction(self):
         cfg = config(momentum=0.2)
         dm = init_dual(np.eye(2), cfg)
-        update_long_term_batch(dm, [1], np.array([[0.0, 1.0]]), cfg)
+        update_long_term_batch(dm, np.array([[0.0, 1.0]]), [1], cfg)
         np.testing.assert_allclose(dm.long_term[1], [0.0, 1.0], atol=1e-12)
 
     def test_zero_momentum_keeps_direction(self):
         cfg = config(momentum=0.0)
         dm = init_dual(np.eye(2), cfg)
-        update_long_term_batch(dm, [0], np.array([[0.0, 1.0]]), cfg)
+        update_long_term_batch(dm, np.array([[0.0, 1.0]]), [0], cfg)
         np.testing.assert_allclose(dm.long_term[0], [1.0, 0.0], atol=1e-12)
 
     def test_normalized_rule_same_direction_as_damped(self, np_rng):
@@ -72,8 +72,8 @@ class TestLongTermUpdate:
         normed_cfg = config(momentum=0.2, update_rule="normalized")
         damped = init_dual(cents, damped_cfg)
         normed = init_dual(cents, normed_cfg)
-        update_long_term_batch(damped, [0], q, damped_cfg)
-        update_long_term_batch(normed, [0], q, normed_cfg)
+        update_long_term_batch(damped, q, [0], damped_cfg)
+        update_long_term_batch(normed, q, [0], normed_cfg)
         np.testing.assert_allclose(damped.long_term[0], normed.long_term[0], atol=1e-12)
 
     def test_banks_stay_unit(self, np_rng):
@@ -81,7 +81,7 @@ class TestLongTermUpdate:
             cfg = config(update_rule=rule, momentum=0.2)
             dm = make_dual(np_rng, cfg=cfg)
             for _ in range(30):
-                update_long_term_batch(dm, [int(np_rng.integers(3))], unit_rows(np_rng, 1, 4), cfg)
+                update_long_term_batch(dm, unit_rows(np_rng, 1, 4), [int(np_rng.integers(3))], cfg)
             np.testing.assert_allclose(np.linalg.norm(dm.long_term, axis=1), 1.0, atol=1e-12)
 
 
@@ -125,13 +125,13 @@ class TestShortTermUpdate:
     def test_beta_zero_keeps_short(self, np_rng):
         dm = make_dual(np_rng)
         before = dm.short_term.copy()
-        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4), config())
+        update_long_term_batch(dm, unit_rows(np_rng, 1, 4), [0], config())
         update_short_term(dm, 0.0, [0, 1])
         np.testing.assert_allclose(dm.short_term, before, atol=1e-12)
 
     def test_beta_one_copies_long(self, np_rng):
         dm = make_dual(np_rng)
-        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4), config())
+        update_long_term_batch(dm, unit_rows(np_rng, 1, 4), [0], config())
         update_short_term(dm, 1.0, [0])
         np.testing.assert_allclose(dm.short_term[0], dm.long_term[0], atol=1e-12)
 
@@ -143,8 +143,8 @@ class TestShortTermUpdate:
 
     def test_only_batch_present_rows_move(self, np_rng):
         dm = make_dual(np_rng)
-        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4), config())
-        update_long_term_batch(dm, [2], unit_rows(np_rng, 1, 4), config())
+        update_long_term_batch(dm, unit_rows(np_rng, 1, 4), [0], config())
+        update_long_term_batch(dm, unit_rows(np_rng, 1, 4), [2], config())
         before = dm.short_term.copy()
         update_short_term(dm, 0.8, [0])
         np.testing.assert_array_equal(dm.short_term[1], before[1])
@@ -155,7 +155,7 @@ class TestFusion:
     def test_long_only(self, np_rng):
         cfg = config(long_weight=1.0, short_weight=0.0)
         dm = make_dual(np_rng, cfg=cfg)
-        update_long_term_batch(dm, [0], unit_rows(np_rng, 1, 4), cfg)
+        update_long_term_batch(dm, unit_rows(np_rng, 1, 4), [0], cfg)
         refresh_fused(dm, cfg)
         np.testing.assert_allclose(dm.fused, dm.long_term, atol=1e-12)
 
@@ -170,7 +170,7 @@ class TestFusion:
     def test_rows_unit(self, np_rng):
         cfg = config(long_weight=0.7, short_weight=0.3)
         dm = make_dual(np_rng, cfg=cfg)
-        update_long_term_batch(dm, [1], unit_rows(np_rng, 1, 4), cfg)
+        update_long_term_batch(dm, unit_rows(np_rng, 1, 4), [1], cfg)
         refresh_fused(dm, cfg)
         np.testing.assert_allclose(np.linalg.norm(dm.fused, axis=1), 1.0, atol=1e-12)
 
@@ -224,7 +224,7 @@ class TestCombinedLoss:
             cfg = config(momentum=0.2, update_rule=rule)
             dm = init_dual(cents, cfg)
             for k in range(3):
-                update_long_term_batch(dm, [k], cents[k : k + 1], cfg)
+                update_long_term_batch(dm, cents[k : k + 1], [k], cfg)
             update_short_term(dm, compute_beta(cents, dm, [0, 1, 2]), [0, 1, 2])
             refresh_fused(dm, cfg)
             np.testing.assert_allclose(dm.long_term, cents, atol=1e-12)

@@ -1,9 +1,18 @@
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import finite_difference, rel_error, unit_rows
 from crossview import encoder
-from crossview.errors import BadMagicError, DegenerateInputError, NumericError, TruncatedFileError
+from crossview.errors import (
+    BadMagicError,
+    DataError,
+    DegenerateInputError,
+    NonFiniteDataError,
+    NumericError,
+    TruncatedFileError,
+)
 from crossview.numcore import Rng
 from reference import flatten_grads, zero_grads
 
@@ -194,4 +203,26 @@ class TestCheckpoint:
         encoder.save_params(params, path)
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(TruncatedFileError):
+            encoder.load_params(path)
+
+    def test_unsupported_dimension_count(self, tmp_path):
+        # a complete file that declares 4 dimensions: the count is named,
+        # and it is not reported as truncated
+        params, _ = small_setup()
+        path = tmp_path / "ck.dmpw"
+        encoder.save_params(params, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 8, 4)
+        path.write_bytes(bytes(blob[:24]) + struct.pack("<I", 1) + bytes(blob[24:]))
+        with pytest.raises(DataError, match="unsupported dimension count 4") as info:
+            encoder.load_params(path)
+        assert not isinstance(info.value, TruncatedFileError)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload(self, tmp_path, value):
+        params, _ = small_setup()
+        params.b2[0] = value
+        path = tmp_path / "ck.dmpw"
+        encoder.save_params(params, path)
+        with pytest.raises(NonFiniteDataError, match="payload contains non-finite values"):
             encoder.load_params(path)

@@ -2,11 +2,14 @@
 so a deletion that would break a traced benchmark run fails here first."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import pytest
 
-from crossview import kernels
+from crossview import cli, kernels
+from crossview.datagen import SyntheticSpec, generate
+from crossview.training import TrainConfig, Trainer
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -24,6 +27,51 @@ def test_every_tracer_hook_resolves(perfbench_on_path):
     assert hooks
     missing = [f"{module.__name__}.{attr}" for module, attr, _, _ in hooks if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_every_tracer_counter_runs_on_a_traced_epoch_and_evaluation(perfbench_on_path):
+    # a counter reads its call's arguments by position, so a signature
+    # change that moves them fails here rather than in a traced benchmark run
+    import tracer
+
+    ran = set()
+
+    def noting(key, counter):
+        def count(args, kwargs, result):
+            out = counter(args, kwargs, result)
+            ran.add(key)
+            return out
+
+        return count
+
+    hooks = [
+        (module, attr, name, counter and noting(f"{module.__name__}.{attr}", counter))
+        for module, attr, name, counter in tracer.layer_hooks()
+    ]
+    originals = [(module, attr, getattr(module, attr)) for module, attr, _, _ in hooks]
+    corpus = generate(SyntheticSpec(num_locations=10, latent_dim=6, input_dim=12, drone_per_loc=5,
+                                    noise_std=0.02, seed=3))
+    config = TrainConfig(epochs=1, iters_per_epoch=3, p_classes=4, z_instances=2, replication=8,
+                         hidden_dim=16, embed_dim=8, k_strict=2, k_expanded=5, rank_depth=4,
+                         smoothing_keep=3, dbscan_eps=0.3, dbscan_min_pts=2, refine_start_epoch=0,
+                         seed=7).with_ablation("full")
+    trace = tracer.Tracer()
+    trace.install(hooks)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a clamped sampler would draw fewer than P clusters
+            trainer = Trainer(config, corpus)
+            trainer.run_epoch()
+        cli._evaluation(trainer.params, corpus)
+    finally:
+        trace.uninstall()
+    assert all(getattr(module, attr) is original for module, attr, original in originals)
+    assert ran == {f"{module.__name__}.{attr}" for module, attr, _, counter in hooks if counter}
+    counts = trace.counts[0]
+    assert counts["training.batches"] == config.iters_per_epoch
+    # the centroid and long-term banks of both views take P x Z queries each
+    per_bank = config.p_classes * config.z_instances
+    assert counts["kernels.blend_rows"] == config.iters_per_epoch * 4 * per_bank
 
 
 def test_worker_kernel_names_resolve():
