@@ -48,19 +48,26 @@ def bank_contrastive_rows(queries, bank, positive_ids, temperature: float) -> tu
     Logits are plain dot products scaled by 1/temperature (unit rows make
     them cosines). Returns the per-row losses and their exact per-row
     gradients; the bank is a constant.
+
+    The logits, their shifted form and the softmax share one batch x bank
+    buffer; the log-sum-exp's exponentials are the only other one.
     """
     bank = np.asarray(bank, dtype=np.float64)
     positive_ids = np.asarray(positive_ids, dtype=np.int64)
     if positive_ids.size and (positive_ids.min() < 0 or positive_ids.max() >= bank.shape[0]):
         raise ValueError("positive id out of range")
     rows = np.arange(positive_ids.size)
-    logits = queries @ bank.T / temperature
-    shift = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shift).sum(axis=1))
-    losses = lse - shift[rows, positive_ids]
-    p = np.exp(shift - lse[:, None])
+    buf = queries @ bank.T
+    buf /= temperature
+    buf -= buf.max(axis=1, keepdims=True)  # the shifted logits
+    lse = np.log(np.exp(buf).sum(axis=1))
+    losses = lse - buf[rows, positive_ids]
+    buf -= lse[:, None]
+    p = np.exp(buf, out=buf)
     p[rows, positive_ids] -= 1.0
-    return losses, p @ bank / temperature
+    grads = p @ bank
+    grads /= temperature
+    return losses, grads
 
 
 @dataclass
@@ -97,5 +104,6 @@ def batch_loss_cv(
             raise ValueError("empty query batch")
         losses, g = bank_contrastive_rows(queries, mem, ids, temperature)
         parts.append(float(losses.sum()) / queries.shape[0])
-        grads.append(g / queries.shape[0])
+        g /= queries.shape[0]
+        grads.append(g)
     return BatchLoss(value=parts[0] + parts[1], drone_grads=grads[0], sat_grads=grads[1])

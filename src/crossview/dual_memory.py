@@ -19,6 +19,7 @@ import numpy as np
 from . import kernels
 from .cluster_memory import bank_contrastive_rows
 from .config import TrainConfig
+from .errors import DegenerateInputError
 from .numcore import as_matrix, l2_normalize_rows, row_norms
 
 
@@ -85,15 +86,24 @@ def update_short_term(dm: DualMemory, beta: float, clusters) -> DualMemory:
     if ids.size and (ids.min() < 0 or ids.max() >= dm.num_clusters):
         raise ValueError("cluster id out of range")
     blended = beta * dm.long_term[ids] + (1.0 - beta) * dm.short_term[ids]
-    dm.short_term[ids] = l2_normalize_rows(blended)
+    dm.short_term[ids] = _normalized(blended, "short-term", ids)
     return dm
 
 
 def refresh_fused(dm: DualMemory, config: TrainConfig) -> DualMemory:
-    dm.fused = l2_normalize_rows(
-        config.long_weight * dm.long_term + config.short_weight * dm.short_term
-    )
+    fused = config.long_weight * dm.long_term + config.short_weight * dm.short_term
+    dm.fused = _normalized(fused, "fused", range(dm.num_clusters))
     return dm
+
+
+def _normalized(rows: np.ndarray, bank: str, clusters) -> np.ndarray:
+    """``l2_normalize_rows`` of the bank rows of ``clusters``; a collapsed
+    row is a DegenerateInputError naming the bank and the cluster."""
+    try:
+        return l2_normalize_rows(rows)
+    except DegenerateInputError:
+        bad = clusters[int(np.flatnonzero(row_norms(rows) == 0.0)[0])]
+        raise DegenerateInputError(f"{bank} bank row of cluster {bad} collapsed to zero norm") from None
 
 
 def fused_bank_loss(queries, dm: DualMemory, positive_ids, temperature: float):

@@ -96,8 +96,11 @@ def forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
         raise ValueError(
             f"input dim {X.shape[1]} does not match encoder input {params.input_dim}"
         )
-    hidden = np.tanh(X @ params.w1.T + params.b1)
-    u = hidden @ params.w2.T + params.b2
+    hidden = X @ params.w1.T
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
+    u = hidden @ params.w2.T
+    u += params.b2
     norms = row_norms(u)
     # a norm that overflows to inf would divide its row to zeros
     if not np.isfinite(norms).all():
@@ -106,8 +109,8 @@ def forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
     if (norms < COLLAPSE_NORM).any():
         bad = int(np.flatnonzero(norms < COLLAPSE_NORM)[0])
         raise DegenerateInputError(f"embedding row {bad} collapsed (norm < {COLLAPSE_NORM})")
-    embeddings = u / norms[:, None]
-    return embeddings, ForwardTape(X, hidden, norms, embeddings)
+    u /= norms[:, None]
+    return u, ForwardTape(X, hidden, norms, u)
 
 
 def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> EncoderGrads:
@@ -123,11 +126,15 @@ def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> EncoderG
         )
     e = tape.embeddings
     inner = np.einsum("ij,ij->i", dE, e)
-    d_pre = (dE - inner[:, None] * e) / tape.norms[:, None]
+    d_pre = inner[:, None] * e
+    np.subtract(dE, d_pre, out=d_pre)
+    d_pre /= tape.norms[:, None]
     dw2 = d_pre.T @ tape.hidden
     db2 = d_pre.sum(axis=0)
-    d_hidden = d_pre @ params.w2
-    d_act = d_hidden * (1.0 - tape.hidden**2)
+    d_act = d_pre @ params.w2  # d_hidden, scaled in place by tanh's derivative
+    slope = np.square(tape.hidden)
+    np.subtract(1.0, slope, out=slope)
+    d_act *= slope
     dw1 = d_act.T @ tape.inputs
     db1 = d_act.sum(axis=0)
     return EncoderGrads(dw1, db1, dw2, db2)

@@ -156,8 +156,10 @@ def total_loss(batch: Batch, memories: EpochMemories, config: TrainConfig) -> To
     )
     base_scale = config.coeff_base + (config.coeff_dual if config.enable_dual else 0.0)
     value = config.coeff_base * base.value
-    gd = base_scale * base.drone_grads
-    gs = base_scale * base.sat_grads
+    gd = base.drone_grads
+    gd *= base_scale
+    gs = base.sat_grads
+    gs *= base_scale
     dual_value = 0.0
     if config.enable_dual:
         fused_term = 0.0
@@ -168,7 +170,9 @@ def total_loss(batch: Batch, memories: EpochMemories, config: TrainConfig) -> To
             n = emb.shape[0]
             fv, fg = fused_bank_loss(emb, dm, ids, config.temperature)
             fused_term += float(fv.sum()) / n
-            grads += config.coeff_dual * config.fused_loss_weight * fg / n
+            fg *= config.coeff_dual * config.fused_loss_weight
+            fg /= n
+            grads += fg
         dual_value = base.value + config.fused_loss_weight * fused_term
         value += config.coeff_dual * dual_value
     neighbor_value = 0.0

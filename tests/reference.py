@@ -1,12 +1,15 @@
 """Single-row and per-query references that the tests check crossview's
 batch functions against: ``cosine_sim`` for ``numcore.pairwise_sim``,
 ``bank_contrastive`` for ``cluster_memory.bank_contrastive_rows``, the
-per-query neighbourhood sets and losses (summed by ``reference_total``)
-for ``neighborhood_total``, the scalar refinement (``reference_vote``,
-``reference_pipeline``) for ``label_refine``, the full-ranking
-Recall@K and AP for ``metrics.evaluate_retrieval``, and the one-update-
-at-a-time ``reference_blend_chain`` for ``kernels.blend_chain``, and
-``sample_by_scan`` for ``training.sample_view_batch``.
+out-of-place ``reference_bank_contrastive_rows``, ``reference_forward``
+and ``reference_backward`` for the in-place batch loss and encoder
+passes, the per-query neighbourhood sets and losses (summed by
+``reference_total``) for ``neighborhood_total``, the scalar refinement
+(``reference_vote``, ``reference_pipeline``) for ``label_refine``, the
+full-ranking Recall@K and AP for ``metrics.evaluate_retrieval``, and
+the one-update-at-a-time ``reference_blend_chain`` for
+``kernels.blend_chain``, and ``sample_by_scan`` for
+``training.sample_view_batch``.
 Below them sit small helpers that only the tests need."""
 
 import math
@@ -16,10 +19,10 @@ import numpy as np
 
 from crossview.clustering import NOISE, PseudoLabels
 from crossview.datagen import Corpus, SyntheticSpec
-from crossview.encoder import EncoderGrads, EncoderParams
+from crossview.encoder import EncoderGrads, EncoderParams, ForwardTape
 from crossview.errors import DegenerateInputError
 from crossview.metrics import rank_gallery
-from crossview.numcore import Rng, l2_normalize_rows
+from crossview.numcore import Rng, l2_normalize_rows, row_norms
 from crossview.training import TrainConfig
 
 
@@ -57,6 +60,47 @@ def bank_contrastive(q, bank, positive_id: int, temperature: float) -> tuple[flo
     p[positive_id] -= 1.0
     grad = (bank.T @ p) / temperature
     return loss, grad
+
+
+def reference_bank_contrastive_rows(queries, bank, positive_ids, temperature: float):
+    """``cluster_memory.bank_contrastive_rows`` with a fresh array for every
+    step: the same operations in the same order."""
+    bank = np.asarray(bank, dtype=np.float64)
+    positive_ids = np.asarray(positive_ids, dtype=np.int64)
+    rows = np.arange(positive_ids.size)
+    logits = queries @ bank.T / temperature
+    shift = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shift).sum(axis=1))
+    losses = lse - shift[rows, positive_ids]
+    p = np.exp(shift - lse[:, None])
+    p[rows, positive_ids] -= 1.0
+    return losses, p @ bank / temperature
+
+
+def reference_forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
+    """``encoder.forward`` with a fresh array for every step, without its
+    checks."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    hidden = np.tanh(X @ params.w1.T + params.b1)
+    u = hidden @ params.w2.T + params.b2
+    norms = row_norms(u)
+    embeddings = u / norms[:, None]
+    return embeddings, ForwardTape(X, hidden, norms, embeddings)
+
+
+def reference_backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> EncoderGrads:
+    """``encoder.backward`` with a fresh array for every step."""
+    dE = np.asarray(d_embeddings, dtype=np.float64)
+    e = tape.embeddings
+    inner = np.einsum("ij,ij->i", dE, e)
+    d_pre = (dE - inner[:, None] * e) / tape.norms[:, None]
+    dw2 = d_pre.T @ tape.hidden
+    db2 = d_pre.sum(axis=0)
+    d_hidden = d_pre @ params.w2
+    d_act = d_hidden * (1.0 - tape.hidden**2)
+    dw1 = d_act.T @ tape.inputs
+    db1 = d_act.sum(axis=0)
+    return EncoderGrads(dw1, db1, dw2, db2)
 
 
 def _query_sims(q, mem: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -1,7 +1,8 @@
-"""``crossview train`` on drawn corpora and settings, and ``crossview eval``
-on damaged input files, in-process: every run ends in one of the CLI's exit
-codes, never in a traceback, and a training run that succeeds writes the
-same bytes when it is repeated."""
+"""``crossview train`` on drawn corpora and settings, ``crossview eval`` on
+damaged input files and run manifests, and ``crossview diag`` on damaged
+runs, in-process: every run ends in one of the CLI's exit codes, never in a
+traceback, and a training run that succeeds writes the same bytes when it
+is repeated."""
 
 import io
 import tempfile
@@ -131,33 +132,86 @@ def test_train_exits_with_a_typed_code(args):
 
 
 CHECKPOINT = "checkpoint.dmpw"
+SMALL_SPEC = SyntheticSpec(num_locations=4, latent_dim=3, input_dim=6, drone_per_loc=2, seed=5)
 
 
 @pytest.fixture(scope="module")
 def eval_files(tmp_path_factory) -> dict[str, bytes]:
     """The bytes of a small labelled corpus and of a checkpoint that fits it."""
     tmp = tmp_path_factory.mktemp("eval-inputs")
-    spec = SyntheticSpec(num_locations=4, latent_dim=3, input_dim=6, drone_per_loc=2, seed=5)
-    save_corpus(generate(spec), tmp / DRONE_FILE, tmp / SAT_FILE)
+    save_corpus(generate(SMALL_SPEC), tmp / DRONE_FILE, tmp / SAT_FILE)
     save_params(init_params(Rng(0), 6, 4, 3), tmp / CHECKPOINT)
     return {name: (tmp / name).read_bytes() for name in (CHECKPOINT, DRONE_FILE, SAT_FILE)}
+
+
+def damage(data, blob: bytes) -> bytes:
+    """``blob`` cut short or with one bit flipped."""
+    blob = bytearray(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        return bytes(blob[: data.draw(st.integers(0, len(blob) - 1), label="length")])
+    bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+    blob[bit // 8] ^= 1 << bit % 8
+    return bytes(blob)
 
 
 @given(data=st.data())
 @settings(deadline=None, max_examples=300)
 def test_eval_of_a_damaged_file_exits_with_a_typed_code(eval_files, data):
-    # one of the three files cut short or with one bit flipped
+    # one of the three files damaged
     name = data.draw(st.sampled_from(sorted(eval_files)), label="file")
-    blob = bytearray(eval_files[name])
-    if data.draw(st.booleans(), label="truncate"):
-        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
-    else:
-        bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
-        blob[bit // 8] ^= 1 << bit % 8
+    blob = damage(data, eval_files[name])
     with tempfile.TemporaryDirectory() as tmp:
         for other, clean in eval_files.items():
-            Path(tmp, other).write_bytes(bytes(blob) if other == name else clean)
+            Path(tmp, other).write_bytes(blob if other == name else clean)
         code, printed = run_cli(["eval", "--checkpoint", str(Path(tmp, CHECKPOINT)), "--corpus-dir", tmp])
     event(f"exit {code}")
     assert code in (0, 3, 4), printed
+    assert "Traceback" not in printed
+
+
+RUN_FILES = ("manifest.json", "metrics.jsonl", CHECKPOINT, DRONE_FILE, SAT_FILE)
+
+
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory) -> tuple[str, dict[str, bytes]]:
+    """The directory and the bytes of a finished ``train`` run whose corpus
+    files sit next to its own."""
+    tmp = tmp_path_factory.mktemp("run")
+    save_corpus(generate(SMALL_SPEC), tmp / DRONE_FILE, tmp / SAT_FILE)
+    train = ["train", "--out", str(tmp), "--corpus-dir", str(tmp), "--epochs", "2", "--p-classes", "2",
+             "--z-instances", "2", "--hidden-dim", "4", "--embed-dim", "3", "--dbscan-eps", "0.5"]
+    assert run_cli(train)[0] == 0
+    return str(tmp.resolve()), {name: (tmp / name).read_bytes() for name in RUN_FILES}
+
+
+def damaged_run(run_files, data, tmp: str, names) -> None:
+    """Write the run into ``tmp``, its manifest pointing at the corpus
+    there, with one of ``names`` damaged."""
+    home, blobs = run_files
+    blobs = dict(blobs, **{"manifest.json": blobs["manifest.json"].replace(home.encode(), tmp.encode())})
+    name = data.draw(st.sampled_from(names), label="file")
+    blobs[name] = damage(data, blobs[name])
+    for other, blob in blobs.items():
+        Path(tmp, other).write_bytes(blob)
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_diag_of_a_damaged_run_exits_with_a_typed_code(run_files, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        damaged_run(run_files, data, str(Path(tmp).resolve()), RUN_FILES)
+        code, printed = run_cli(["diag", "--run", tmp])
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), printed
+    assert "Traceback" not in printed
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=100)
+def test_eval_of_a_run_with_a_damaged_manifest_exits_with_a_typed_code(run_files, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        damaged_run(run_files, data, str(Path(tmp).resolve()), ["manifest.json"])
+        code, printed = run_cli(["eval", "--checkpoint", str(Path(tmp, CHECKPOINT)), "--run", tmp])
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), printed
     assert "Traceback" not in printed

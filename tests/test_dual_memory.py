@@ -11,6 +11,7 @@ from crossview.dual_memory import (
     update_long_term_batch,
     update_short_term,
 )
+from crossview.errors import DegenerateInputError
 from crossview.training import Batch, EpochMemories, TrainConfig, total_loss
 from reference import config
 
@@ -150,6 +151,17 @@ class TestShortTermUpdate:
         np.testing.assert_array_equal(dm.short_term[1], before[1])
         np.testing.assert_array_equal(dm.short_term[2], before[2])
 
+    def test_collapse_names_the_bank_and_the_cluster(self, np_rng):
+        # cluster 4's long-term row is its short-term row negated: at beta
+        # 0.5 the blend is exactly zero. It is the third cluster drawn, so
+        # a message indexing the blended rows would say 2
+        dm = make_dual(np_rng, k=6)
+        dm.long_term[4] = -dm.short_term[4]
+        before = dm.short_term.copy()
+        with pytest.raises(DegenerateInputError, match=r"^short-term bank row of cluster 4 collapsed"):
+            update_short_term(dm, 0.5, [1, 0, 4, 5])
+        np.testing.assert_array_equal(dm.short_term, before)
+
 
 class TestFusion:
     def test_long_only(self, np_rng):
@@ -173,6 +185,13 @@ class TestFusion:
         update_long_term_batch(dm, unit_rows(np_rng, 1, 4), [1], cfg)
         refresh_fused(dm, cfg)
         np.testing.assert_allclose(np.linalg.norm(dm.fused, axis=1), 1.0, atol=1e-12)
+
+    def test_collapse_names_the_bank_and_the_cluster(self, np_rng):
+        cfg = config(long_weight=0.5, short_weight=0.5)
+        dm = make_dual(np_rng, k=5, cfg=cfg)
+        dm.long_term[3] = -dm.short_term[3]
+        with pytest.raises(DegenerateInputError, match=r"^fused bank row of cluster 3 collapsed"):
+            refresh_fused(dm, cfg)
 
 
 def dual_total(np_rng, fused_loss_weight):
