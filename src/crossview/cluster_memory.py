@@ -11,8 +11,6 @@ treated as constants when differentiating, so gradients flow only into
 the query embeddings. A bank is a plain (clusters x dim) array.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -54,6 +52,8 @@ def bank_contrastive_rows(queries, bank, positive_ids, temperature: float) -> tu
     """
     bank = np.asarray(bank, dtype=np.float64)
     positive_ids = np.asarray(positive_ids, dtype=np.int64)
+    if positive_ids.shape != (len(queries),):
+        raise ValueError(f"{positive_ids.size} positive ids for {len(queries)} query rows")
     if positive_ids.size and (positive_ids.min() < 0 or positive_ids.max() >= bank.shape[0]):
         raise ValueError("positive id out of range")
     rows = np.arange(positive_ids.size)
@@ -70,40 +70,18 @@ def bank_contrastive_rows(queries, bank, positive_ids, temperature: float) -> tu
     return losses, grads
 
 
-@dataclass
-class BatchLoss:
-    value: float
-    drone_grads: np.ndarray
-    sat_grads: np.ndarray
-
-
-def batch_loss_cv(
-    drone_queries,
-    drone_ids,
-    sat_queries,
-    sat_ids,
-    mem_d: np.ndarray,
-    mem_s: np.ndarray,
-    temperature: float,
-) -> BatchLoss:
-    """Mean drone-view loss plus mean satellite-view loss over the batch.
-
-    Gradients are per query and already carry the 1/batch factors. Queries
+def batch_loss_cv(queries, ids, bank: np.ndarray, temperature: float) -> tuple[float, np.ndarray]:
+    """Mean loss of one view's queries against its centroid bank, and the
+    per-query gradients, which already carry the 1/batch factor. Queries
     must have a real (non-noise) pseudo-label; noise is excluded upstream.
     """
-    drone_queries = as_matrix(drone_queries, "drone queries")
-    sat_queries = as_matrix(sat_queries, "satellite queries")
-    drone_ids = np.asarray(drone_ids, dtype=np.int64)
-    sat_ids = np.asarray(sat_ids, dtype=np.int64)
-    if np.any(drone_ids < 0) or np.any(sat_ids < 0):
+    queries = as_matrix(queries, "queries")
+    ids = np.asarray(ids, dtype=np.int64)
+    if np.any(ids < 0):
         raise ValueError("noise-labeled query in contrastive batch")
-    parts = []
-    grads = []
-    for queries, ids, mem in ((drone_queries, drone_ids, mem_d), (sat_queries, sat_ids, mem_s)):
-        if queries.shape[0] == 0:
-            raise ValueError("empty query batch")
-        losses, g = bank_contrastive_rows(queries, mem, ids, temperature)
-        parts.append(float(losses.sum()) / queries.shape[0])
-        g /= queries.shape[0]
-        grads.append(g)
-    return BatchLoss(value=parts[0] + parts[1], drone_grads=grads[0], sat_grads=grads[1])
+    n = queries.shape[0]
+    if n == 0:
+        raise ValueError("empty query batch")
+    losses, grads = bank_contrastive_rows(queries, bank, ids, temperature)
+    grads /= n
+    return float(losses.sum()) / n, grads

@@ -72,6 +72,8 @@ def compute_beta(batch_queries, dm: DualMemory, cluster_ids) -> float:
     cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
     if batch_queries.shape[0] == 0:
         raise ValueError("empty batch")
+    if cluster_ids.shape != batch_queries.shape[:1]:
+        raise ValueError(f"{cluster_ids.size} cluster ids for {batch_queries.shape[0]} query rows")
     if cluster_ids.min() < 0 or cluster_ids.max() >= dm.num_clusters:
         raise ValueError("cluster id out of range")
     diffs = batch_queries - dm.long_term[cluster_ids]

@@ -181,6 +181,8 @@ def neighborhood_total(
         (sat_queries, sat_indices, gs, mem_s, mem_d, forced_s),
     ):
         b = queries.shape[0]
+        if own.shape != (b,):
+            raise ValueError(f"{own.size} memory indices for {b} query rows")
         if b == 0:
             continue
         v_intra, g_intra = _direction_batch(queries, intra, config, own, None)

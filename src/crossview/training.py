@@ -77,25 +77,29 @@ class EpochRecord:
 
 
 @dataclass
-class Batch:
-    drone_emb: np.ndarray
-    drone_cluster_ids: np.ndarray
-    drone_rows: np.ndarray
-    sat_emb: np.ndarray
-    sat_cluster_ids: np.ndarray
-    sat_rows: np.ndarray
+class ViewBatch:
+    """One view's minibatch: query embeddings, their pseudo-label ids and
+    their rows in the view's corpus and instance memory."""
+
+    emb: np.ndarray
+    ids: np.ndarray
+    rows: np.ndarray
+
+
+@dataclass
+class ViewMemories:
+    """One view's pseudo-labels and the banks built from them this epoch."""
+
+    labels: PseudoLabels
+    centroids: np.ndarray  # centroid bank
+    dual: DualMemory | None = None
+    instances: np.ndarray | None = None  # instance memory
 
 
 @dataclass
 class EpochMemories:
-    mem_d: np.ndarray  # centroid banks
-    mem_s: np.ndarray
-    dual_d: DualMemory | None = None
-    dual_s: DualMemory | None = None
-    inst_d: np.ndarray | None = None  # instance memories
-    inst_s: np.ndarray | None = None
-    refined: RefinedLabels | None = None
-    labels_d: PseudoLabels | None = None  # the drone labels refinement voted on
+    views: tuple[ViewMemories, ViewMemories]  # drone, satellite
+    refined: RefinedLabels | None = None  # satellite rows' votes over the drone clusters
 
 
 @dataclass
@@ -104,8 +108,7 @@ class TotalLoss:
     base: float
     dual: float
     neighbor: float
-    drone_grads: np.ndarray
-    sat_grads: np.ndarray
+    grads: list[np.ndarray]  # per view, drone then satellite
 
 
 def sample_view_batch(labels: PseudoLabels, p: int, z: int, rng: Rng) -> np.ndarray:
@@ -138,75 +141,60 @@ def sample_view_batch(labels: PseudoLabels, p: int, z: int, rng: Rng) -> np.ndar
     return labels.order[labels.starts[chosen][:, None] + picks].ravel()
 
 
-def total_loss(batch: Batch, memories: EpochMemories, config: TrainConfig) -> TotalLoss:
-    """Printed-form total: base + dual + neighborhood terms.
+def total_loss(batch: list[ViewBatch], memories: EpochMemories, config: TrainConfig) -> TotalLoss:
+    """Printed-form total: base + dual + neighborhood terms, for the drone
+    and satellite batches against their views' memories.
 
     The dual term re-includes the base contrastive value by construction,
     so with default coefficients the base loss is counted twice when the
     dual banks are enabled; coeff_* overrides exist for experiments.
     """
-    base = batch_loss_cv(
-        batch.drone_emb,
-        batch.drone_cluster_ids,
-        batch.sat_emb,
-        batch.sat_cluster_ids,
-        memories.mem_d,
-        memories.mem_s,
-        config.temperature,
-    )
     base_scale = config.coeff_base + (config.coeff_dual if config.enable_dual else 0.0)
-    value = config.coeff_base * base.value
-    gd = base.drone_grads
-    gd *= base_scale
-    gs = base.sat_grads
-    gs *= base_scale
-    dual_value = 0.0
-    if config.enable_dual:
-        fused_term = 0.0
-        for emb, ids, dm, grads in (
-            (batch.drone_emb, batch.drone_cluster_ids, memories.dual_d, gd),
-            (batch.sat_emb, batch.sat_cluster_ids, memories.dual_s, gs),
-        ):
-            n = emb.shape[0]
-            fv, fg = fused_bank_loss(emb, dm, ids, config.temperature)
+    base = fused_term = 0.0
+    grads = []
+    for view, mem in zip(batch, memories.views):
+        mean, g = batch_loss_cv(view.emb, view.ids, mem.centroids, config.temperature)
+        base += mean
+        g *= base_scale
+        if config.enable_dual:
+            n = view.emb.shape[0]
+            fv, fg = fused_bank_loss(view.emb, mem.dual, view.ids, config.temperature)
             fused_term += float(fv.sum()) / n
             fg *= config.coeff_dual * config.fused_loss_weight
             fg /= n
-            grads += fg
-        dual_value = base.value + config.fused_loss_weight * fused_term
+            g += fg
+        grads.append(g)
+    value = config.coeff_base * base
+    dual_value = 0.0
+    if config.enable_dual:
+        dual_value = base + config.fused_loss_weight * fused_term
         value += config.coeff_dual * dual_value
     neighbor_value = 0.0
     if config.enable_neighbor:
+        (drone, sat), (mem_d, mem_s) = batch, memories.views
         forced_s = None
         if memories.refined is not None:
             # refined labels live on satellite instances, so only satellite
             # queries get force-included partners (their refined drone
             # cluster's members); the reverse direction would drag every
             # drone cluster toward the satellite cloud and collapse it
-            forced_s = memories.refined.hard[batch.sat_rows][:, None] == memories.labels_d.labels
+            forced_s = memories.refined.hard[sat.rows][:, None] == mem_d.labels.labels
         nbr = neighborhood_total(
-            batch.drone_emb,
-            batch.drone_rows,
-            batch.sat_emb,
-            batch.sat_rows,
-            memories.inst_d,
-            memories.inst_s,
-            config,
+            drone.emb, drone.rows, sat.emb, sat.rows, mem_d.instances, mem_s.instances, config,
             forced_s=forced_s,
         )
         neighbor_value = nbr.value
         value += config.coeff_neighbor * neighbor_value
-        gd += config.coeff_neighbor * nbr.drone_grads
-        gs += config.coeff_neighbor * nbr.sat_grads
+        grads[0] += config.coeff_neighbor * nbr.drone_grads
+        grads[1] += config.coeff_neighbor * nbr.sat_grads
     if not math.isfinite(value):
         raise NumericError(f"non-finite total loss: {value}")
     return TotalLoss(
         value=float(value),
-        base=float(base.value),
+        base=float(base),
         dual=float(dual_value),
         neighbor=float(neighbor_value),
-        drone_grads=gd,
-        sat_grads=gs,
+        grads=grads,
     )
 
 
@@ -219,9 +207,10 @@ class Trainer:
             corpus.check_paired()
         self.config = config
         self.corpus = corpus
+        self.raw_views = (corpus.drone_raw, corpus.sat_raw)
         self.params = encoder.init_params(
             Rng(config.seed).derive(11),
-            self.corpus.drone_raw.shape[1],
+            corpus.drone_raw.shape[1],
             config.hidden_dim,
             config.embed_dim,
         )
@@ -236,101 +225,91 @@ class Trainer:
         labels_s = dbscan(emb_s, replace(db, min_pts=-(-db.min_pts // cfg.replication)))
         return labels_d, labels_s
 
-    def _build_memories(self, emb_d, emb_s, labels_d, labels_s) -> EpochMemories:
+    def _build_memories(self, embs, labels) -> EpochMemories:
         cfg = self.config
-        cent_d = compute_centroids(emb_d, labels_d)
-        cent_s = compute_centroids(emb_s, labels_s)
-        memories = EpochMemories(
-            mem_d=init_memory(cent_d),
-            mem_s=init_memory(cent_s),
-        )
-        if cfg.enable_dual:
-            memories.dual_d = init_dual(cent_d, cfg)
-            memories.dual_s = init_dual(cent_s, cfg)
-        if cfg.enable_neighbor:
-            memories.inst_d = build_instance_memory(emb_d)
-            memories.inst_s = build_instance_memory(emb_s)
+        views = []
+        for emb, view_labels in zip(embs, labels):
+            cent = compute_centroids(emb, view_labels)
+            view = ViewMemories(labels=view_labels, centroids=init_memory(cent))
+            if cfg.enable_dual:
+                view.dual = init_dual(cent, cfg)
+            if cfg.enable_neighbor:
+                view.instances = build_instance_memory(emb)
+            views.append(view)
+        memories = EpochMemories(views=tuple(views))
         if cfg.enable_refine and self.epoch >= cfg.refine_start_epoch:
             rng = Rng(cfg.seed * 1_000_003 + self.epoch)
-            memories.refined = refine_labels(emb_s, emb_d, labels_d, cfg, rng)
-            memories.labels_d = labels_d
+            memories.refined = refine_labels(embs[1], embs[0], labels[0], cfg, rng)
         return memories
 
     def _epoch_lr(self) -> float:
         return self.config.lr * self.config.lr_decay**self.epoch
 
+    def _embed_views(self) -> list[np.ndarray]:
+        return [encoder.forward(self.params, raw)[0] for raw in self.raw_views]
+
     def run_epoch(self) -> EpochRecord:
         cfg = self.config
-        n, m = self.corpus.drone_raw.shape[0], self.corpus.sat_raw.shape[0]
+        n, m = (raw.shape[0] for raw in self.raw_views)
         if cfg.enable_neighbor and min(n, m) < 2:
             # a one-row view leaves its intra-view neighbourhood pool empty
             raise DataError(
                 f"neighborhood losses need at least 2 rows per view, got {n} drone / {m} satellite"
             )
         started = time.perf_counter()
-        emb_d, _ = encoder.forward(self.params, self.corpus.drone_raw)
-        emb_s, _ = encoder.forward(self.params, self.corpus.sat_raw)
-        labels_d, labels_s = self._pseudo_labels(emb_d, emb_s)
-        if labels_d.num_clusters == 0 or labels_s.num_clusters == 0:
+        embs = self._embed_views()
+        labels = self._pseudo_labels(*embs)
+        counts = [view_labels.num_clusters for view_labels in labels]
+        if min(counts) == 0:
             raise ClusteringError(
                 f"epoch {self.epoch}: clustering found "
-                f"{labels_d.num_clusters} drone / {labels_s.num_clusters} satellite clusters"
+                f"{counts[0]} drone / {counts[1]} satellite clusters"
             )
-        memories = self._build_memories(emb_d, emb_s, labels_d, labels_s)
-        p_d = min(cfg.p_classes, labels_d.num_clusters)
-        p_s = min(cfg.p_classes, labels_s.num_clusters)
-        if p_d < cfg.p_classes or p_s < cfg.p_classes:
+        memories = self._build_memories(embs, labels)
+        p = [min(cfg.p_classes, count) for count in counts]
+        if min(p) < cfg.p_classes:
             warnings.warn(
-                f"epoch {self.epoch}: sampler clamped to {p_d} drone / {p_s} satellite clusters",
+                f"epoch {self.epoch}: sampler clamped to {p[0]} drone / {p[1]} satellite clusters",
                 stacklevel=2,
             )
+        views, z = memories.views, cfg.z_instances
         iters = cfg.iters_per_epoch or max(1, math.ceil(max(n, m) / cfg.batch_size))
         lr = self._epoch_lr()
         sums = np.zeros(4)
         for _ in range(iters):
-            idx_d = sample_view_batch(labels_d, p_d, cfg.z_instances, self.rng)
-            idx_s = sample_view_batch(labels_s, p_s, cfg.z_instances, self.rng)
-            q_d, tape_d = encoder.forward(self.params, self.corpus.drone_raw[idx_d])
-            q_s, tape_s = encoder.forward(self.params, self.corpus.sat_raw[idx_s])
-            batch = Batch(
-                drone_emb=q_d,
-                drone_cluster_ids=labels_d.labels[idx_d],
-                drone_rows=idx_d,
-                sat_emb=q_s,
-                sat_cluster_ids=labels_s.labels[idx_s],
-                sat_rows=idx_s,
-            )
+            # the generator draws the drone batch, then the satellite batch
+            rows = [sample_view_batch(v.labels, p_v, z, self.rng) for v, p_v in zip(views, p)]
+            # only ``tapes`` may hold the forward tapes, so that rebinding it
+            # frees the last minibatch's before the losses run: a name still
+            # bound to them kept about 400 KiB more live at the heap's peak
+            # and tripled a dual-memory epoch's minor page faults (P=32, Z=8)
+            tapes = [encoder.forward(self.params, x[r])[1] for x, r in zip(self.raw_views, rows)]
+            batch = [ViewBatch(t.embeddings, v.labels.labels[r], r)
+                     for t, v, r in zip(tapes, views, rows)]
             losses = total_loss(batch, memories, cfg)
             sums += (losses.base, losses.dual, losses.neighbor, losses.value)
-            grads = encoder.backward(self.params, tape_d, losses.drone_grads)
-            grads += encoder.backward(self.params, tape_s, losses.sat_grads)
+            grads = encoder.backward(self.params, tapes[0], losses.grads[0])
+            grads += encoder.backward(self.params, tapes[1], losses.grads[1])
             self.params = encoder.sgd_step(self.params, grads, lr)
-            clusters_d = batch.drone_cluster_ids[:: cfg.z_instances]
-            clusters_s = batch.sat_cluster_ids[:: cfg.z_instances]
-            momentum_update_batch(memories.mem_d, q_d, clusters_d, cfg)
-            momentum_update_batch(memories.mem_s, q_s, clusters_s, cfg)
-            if cfg.enable_dual:
-                for dm, ids, clusters, q in (
-                    (memories.dual_d, batch.drone_cluster_ids, clusters_d, q_d),
-                    (memories.dual_s, batch.sat_cluster_ids, clusters_s, q_s),
-                ):
-                    beta = compute_beta(q, dm, ids)
-                    update_short_term(dm, beta, clusters)
-                    update_long_term_batch(dm, q, clusters, cfg)
-                    refresh_fused(dm, cfg)
-        means = sums / iters
-        record = self._evaluate_epoch(labels_d, labels_s, memories, means, started)
+            for view, mem in zip(batch, views):
+                clusters = view.ids[::z]
+                momentum_update_batch(mem.centroids, view.emb, clusters, cfg)
+                if cfg.enable_dual:
+                    beta = compute_beta(view.emb, mem.dual, view.ids)
+                    update_short_term(mem.dual, beta, clusters)
+                    update_long_term_batch(mem.dual, view.emb, clusters, cfg)
+                    refresh_fused(mem.dual, cfg)
+        record = self._evaluate_epoch(memories, sums / iters, started)
         self.epoch += 1
         return record
 
-    def _evaluate_epoch(self, labels_d, labels_s, memories, means, started) -> EpochRecord:
+    def _evaluate_epoch(self, memories, means, started) -> EpochRecord:
         evals = dict.fromkeys(SCORE_KEYS)
         agreement = None
+        labels_d, labels_s = (mem.labels for mem in memories.views)
         if self.corpus.has_ground_truth:
-            emb_d, _ = encoder.forward(self.params, self.corpus.drone_raw)
-            emb_s, _ = encoder.forward(self.params, self.corpus.sat_raw)
             gt_d, gt_s = self.corpus.ground_truth()
-            evals = evaluate_retrieval(emb_d, emb_s, gt_d, gt_s)
+            evals = evaluate_retrieval(*self._embed_views(), gt_d, gt_s)
             if memories.refined is not None:
                 agreement = refinement_agreement(memories.refined.hard, labels_d, gt_d, gt_s)
         return EpochRecord(

@@ -44,7 +44,14 @@ from reference import (
     uniform_divergence,
 )
 from crossview.config import ABLATIONS
-from crossview.training import Batch, EpochMemories, TrainConfig, Trainer, total_loss
+from crossview.training import (
+    EpochMemories,
+    TrainConfig,
+    Trainer,
+    ViewBatch,
+    ViewMemories,
+    total_loss,
+)
 
 # Canonical end-to-end configuration. The attained values below were
 # recorded from the first green run and act as regression baselines.
@@ -66,6 +73,25 @@ MEMORY_RUN_ARGS = COMMON_ARGS + [
 MEMORY_RUN_SHA256 = {
     "metrics.jsonl": "79b8fd38b3a7fb9529a87a7c81eab8bf5a6d6ff6824b067e2dac62ec9bb4a889",
     "checkpoint.dmpw": "a994f3dca73220d62275b6c83bd9cf3d983db05e630ed5939d13b8bde9f6c165",
+}
+# The full method with refinement from epoch 2, and the baseline: both pass
+# through every per-view step of the trainer. Pinned before the trainer's
+# drone/satellite field pairs became per-view records.
+ABLATION_RUNS = {
+    "full": (
+        COMMON_ARGS + ["--ablation", "full", "--epochs", "4", "--refine-start-epoch", "2"],
+        {
+            "metrics.jsonl": "35c6a1150528acaae74fe9fbcd4190cc369a36942d114032f43ffd435433299c",
+            "checkpoint.dmpw": "35ec20a9885560aeba2fdb3cce3619e2a8fd12c022b1397cad32b074ed9cd1de",
+        },
+    ),
+    "baseline": (
+        COMMON_ARGS + ["--ablation", "baseline", "--epochs", "3"],
+        {
+            "metrics.jsonl": "fa36a82f84bc981fe86094fcefe5fccc28c10985077198258faf10a3ee8d298c",
+            "checkpoint.dmpw": "286348ad086a3eb97c528f2d7e4b4d82c4e3e751a9b1d5db19cb50946ca792de",
+        },
+    ),
 }
 BASELINE_UNTRAINED_R1 = 1 / 512  # 0.001953125
 BASELINE_TRAINED_R1 = 10 / 512  # 0.01953125
@@ -131,15 +157,16 @@ def random_memories(rng: Rng, k, embed, n_inst, m_inst, cfg) -> EpochMemories:
     def bank(r, rows):
         return nc.l2_normalize_rows(r.normal((rows, embed)))
 
-    memories = EpochMemories(
-        mem_d=init_memory(bank(rng.derive(1), k)),
-        mem_s=init_memory(bank(rng.derive(2), k)),
-    )
-    memories.dual_d = init_dual(bank(rng.derive(3), k), cfg)
-    memories.dual_s = init_dual(bank(rng.derive(4), k), cfg)
-    memories.inst_d = build_instance_memory(bank(rng.derive(5), n_inst))
-    memories.inst_s = build_instance_memory(bank(rng.derive(6), m_inst))
-    return memories
+    labels = PseudoLabels(np.arange(k), k)
+    return EpochMemories(views=tuple(
+        ViewMemories(
+            labels,
+            init_memory(bank(rng.derive(1 + view), k)),
+            init_dual(bank(rng.derive(3 + view), k), cfg),
+            build_instance_memory(bank(rng.derive(5 + view), n)),
+        )
+        for view, n in ((0, n_inst), (1, m_inst))
+    ))
 
 
 def test_criterion_1_paper_scale_out_of_scope():
@@ -174,17 +201,20 @@ def test_criterion_2_gradient_suite():
         rows_s = np.asarray(rng.derive(12).choice(m_inst, size=batch, replace=False))
         memories = random_memories(rng.derive(13), k, embed, n_inst, m_inst, cfg)
 
+        mem_d, mem_s = memories.views
+
         def batch_of(emb_d, emb_s):
-            return Batch(emb_d, ids_d, rows_d, emb_s, ids_s, rows_s)
+            return [ViewBatch(emb_d, ids_d, rows_d), ViewBatch(emb_s, ids_s, rows_s)]
 
         def loss_cv(emb_d, emb_s):
-            out = batch_loss_cv(emb_d, ids_d, emb_s, ids_s, memories.mem_d, memories.mem_s, cfg.temperature)
-            return out.value, out.drone_grads, out.sat_grads
+            value_d, gd = batch_loss_cv(emb_d, ids_d, mem_d.centroids, cfg.temperature)
+            value_s, gs = batch_loss_cv(emb_s, ids_s, mem_s.centroids, cfg.temperature)
+            return value_d + value_s, gd, gs
 
         def loss_dual(emb_d, emb_s):
             local = TrainConfig(**{**cfg.to_dict(), "coeff_base": 0.0, "enable_neighbor": False})
             out = total_loss(batch_of(emb_d, emb_s), memories, local)
-            return out.value, out.drone_grads, out.sat_grads
+            return out.value, *out.grads
 
         def directional(emb_d, emb_s, single):
             value = 0.0
@@ -192,15 +222,15 @@ def test_criterion_2_gradient_suite():
             gs = np.zeros_like(emb_s)
             for i in range(batch):
                 for mem, exclude, grads, emb in (
-                    (memories.inst_d, int(rows_d[i]), gd, emb_d),
-                    (memories.inst_s, None, gd, emb_d),
+                    (mem_d.instances, int(rows_d[i]), gd, emb_d),
+                    (mem_s.instances, None, gd, emb_d),
                 ):
                     v, g = single(emb[i], mem, exclude)
                     value += v / batch
                     grads[i] += g / batch
                 for mem, exclude, grads, emb in (
-                    (memories.inst_s, int(rows_s[i]), gs, emb_s),
-                    (memories.inst_d, None, gs, emb_s),
+                    (mem_s.instances, int(rows_s[i]), gs, emb_s),
+                    (mem_d.instances, None, gs, emb_s),
                 ):
                     v, g = single(emb[i], mem, exclude)
                     value += v / batch
@@ -230,7 +260,7 @@ def test_criterion_2_gradient_suite():
 
         def loss_total_fn(emb_d, emb_s):
             out = total_loss(batch_of(emb_d, emb_s), memories, cfg)
-            return out.value, out.drone_grads, out.sat_grads
+            return out.value, *out.grads
 
         for name, fn in (
             ("L_cv", loss_cv),
@@ -429,13 +459,25 @@ def test_criterion_7_deterministic_reruns(canonical_run):
     print(f"ACCEPTANCE 7: PASS (metrics sha256 {digest_a[:16]}... identical)")
 
 
-def test_criterion_7_memory_shape_bytes_pinned(tmp_path):
-    run_cli(["train", "--out", str(tmp_path)] + CORPUS_ARGS + MEMORY_RUN_ARGS, _cli_env())
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in MEMORY_RUN_SHA256
+def run_digests(out, args) -> dict:
+    """sha256 of the metrics file and the checkpoint of a CLI training run."""
+    run_cli(["train", "--out", str(out)] + CORPUS_ARGS + args, _cli_env())
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("metrics.jsonl", "checkpoint.dmpw")
     }
-    assert digests == MEMORY_RUN_SHA256
+
+
+def test_criterion_7_memory_shape_bytes_pinned(tmp_path):
+    assert run_digests(tmp_path, MEMORY_RUN_ARGS) == MEMORY_RUN_SHA256
     print("ACCEPTANCE 7: PASS (dual-memory P=32 Z=8 run bytes match the pinned sha256)")
+
+
+@pytest.mark.parametrize("ablation", sorted(ABLATION_RUNS))
+def test_criterion_7_ablation_bytes_pinned(tmp_path, ablation):
+    args, digests = ABLATION_RUNS[ablation]
+    assert run_digests(tmp_path, args) == digests
+    print(f"ACCEPTANCE 7: PASS ({ablation} run bytes match the pinned sha256)")
 
 
 def test_criterion_8_refinement_recovers_separable_corpus():

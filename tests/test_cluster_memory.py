@@ -10,6 +10,8 @@ from crossview.cluster_memory import (
     init_memory,
     momentum_update_batch,
 )
+from crossview.dual_memory import compute_beta, fused_bank_loss, init_dual
+from crossview.neighborhood import build_instance_memory, neighborhood_total
 from reference import bank_contrastive, config
 
 LN_1P_EXP_NEG1 = float(np.log1p(np.exp(-1.0)))
@@ -121,50 +123,72 @@ class TestContrastiveLoss:
 
 class TestBatchLoss:
     def test_queries_on_their_centroids(self):
-        mem_d = two_class_memory()
-        mem_s = two_class_memory()
-        drone_q = np.eye(2)
-        sat_q = np.eye(2)
-        out = batch_loss_cv(drone_q, [0, 1], sat_q, [0, 1], mem_d, mem_s, 1.0)
-        assert out.value == pytest.approx(2.0 * LN_1P_EXP_NEG1, abs=1e-9)
+        value, _ = batch_loss_cv(np.eye(2), [0, 1], two_class_memory(), 1.0)
+        assert value == pytest.approx(LN_1P_EXP_NEG1, abs=1e-9)
 
-    def test_symmetric_views_equal_parts(self, np_rng):
+    def test_value_is_mean_of_row_losses(self, np_rng):
         cents = unit_rows(np_rng, 3, 4)
         queries = unit_rows(np_rng, 5, 4)
         ids = np_rng.integers(0, 3, size=5)
-        mem_d = init_memory(cents)
-        mem_s = init_memory(cents)
-        out = batch_loss_cv(queries, ids, queries, ids, mem_d, mem_s, 0.2)
-        losses, _ = bank_contrastive_rows(queries, cents, ids, 0.2)
-        np.testing.assert_array_equal(out.drone_grads, out.sat_grads)
-        assert out.value == pytest.approx(2.0 * losses.mean(), abs=1e-12)
+        value, grads = batch_loss_cv(queries, ids, init_memory(cents), 0.2)
+        losses, row_grads = bank_contrastive_rows(queries, cents, ids, 0.2)
+        np.testing.assert_array_equal(grads, row_grads / 5)
+        assert value == pytest.approx(losses.mean(), abs=1e-12)
 
     def test_batch_of_one_reduces_to_two_scalar_losses(self, np_rng):
         mem_d = init_memory(unit_rows(np_rng, 3, 4))
         mem_s = init_memory(unit_rows(np_rng, 2, 4))
         qd = unit_rows(np_rng, 1, 4)
         qs = unit_rows(np_rng, 1, 4)
-        out = batch_loss_cv(qd, [2], qs, [0], mem_d, mem_s, 0.5)
+        value = batch_loss_cv(qd, [2], mem_d, 0.5)[0] + batch_loss_cv(qs, [0], mem_s, 0.5)[0]
         expect = bank_contrastive(qd[0], mem_d, 2, 0.5)[0]
         expect += bank_contrastive(qs[0], mem_s, 0, 0.5)[0]
-        assert out.value == pytest.approx(expect, abs=1e-12)
+        assert value == pytest.approx(expect, abs=1e-12)
 
     def test_noise_label_rejected(self, np_rng):
         mem = init_memory(unit_rows(np_rng, 2, 3))
         q = unit_rows(np_rng, 1, 3)
         with pytest.raises(ValueError):
-            batch_loss_cv(q, [-1], q, [0], mem, mem, 0.5)
+            batch_loss_cv(q, [-1], mem, 0.5)
 
     def test_value_permutation_invariant(self, np_rng):
-        mem_d = init_memory(unit_rows(np_rng, 4, 5))
-        mem_s = init_memory(unit_rows(np_rng, 4, 5))
-        qd = unit_rows(np_rng, 6, 5)
-        qs = unit_rows(np_rng, 6, 5)
+        mem = init_memory(unit_rows(np_rng, 4, 5))
+        q = unit_rows(np_rng, 6, 5)
         ids = np_rng.integers(0, 4, size=6)
         perm = np_rng.permutation(6)
-        a = batch_loss_cv(qd, ids, qs, ids, mem_d, mem_s, 0.3).value
-        b = batch_loss_cv(qd[perm], ids[perm], qs[perm], ids[perm], mem_d, mem_s, 0.3).value
+        a, _ = batch_loss_cv(q, ids, mem, 0.3)
+        b, _ = batch_loss_cv(q[perm], ids[perm], mem, 0.3)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+NBR = config(k_strict=2, k_expanded=3)
+# every function that pairs query rows with per-row ids, given five unit
+# query rows, a three-row bank and its dual memory, and ids all equal to 2
+ID_PER_ROW = {
+    "bank_contrastive_rows": lambda q, bank, dm, ids: bank_contrastive_rows(q, bank, ids, 0.2),
+    "batch_loss_cv": lambda q, bank, dm, ids: batch_loss_cv(q, ids, bank, 0.2),
+    "fused_bank_loss": lambda q, bank, dm, ids: fused_bank_loss(q, dm, ids, 0.2),
+    "compute_beta": lambda q, bank, dm, ids: compute_beta(q, dm, ids),
+    "neighborhood_total drone": lambda q, bank, dm, ids: neighborhood_total(
+        q, ids, q, np.arange(5), build_instance_memory(q), build_instance_memory(q), NBR
+    ),
+    "neighborhood_total satellite": lambda q, bank, dm, ids: neighborhood_total(
+        q, np.arange(5), q, ids, build_instance_memory(q), build_instance_memory(q), NBR
+    ),
+}
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+@pytest.mark.parametrize("score", sorted(ID_PER_ROW))
+def test_ids_must_match_query_rows(np_rng, score, count):
+    # one id used to broadcast over every row, scoring each row against
+    # row 0's positive; other counts failed inside numpy
+    q = unit_rows(np_rng, 5, 4)
+    bank = init_memory(unit_rows(np_rng, 3, 4))
+    dm = init_dual(bank, config())
+    ID_PER_ROW[score](q, bank, dm, np.arange(5) % 3)  # one id per row is accepted
+    with pytest.raises(ValueError, match=rf"^{count} .* for 5 query rows$"):
+        ID_PER_ROW[score](q, bank, dm, np.full(count, 2))
 
 
 class TestDescentProperty:

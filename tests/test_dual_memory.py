@@ -11,8 +11,9 @@ from crossview.dual_memory import (
     update_long_term_batch,
     update_short_term,
 )
+from crossview.clustering import PseudoLabels
 from crossview.errors import DegenerateInputError
-from crossview.training import Batch, EpochMemories, TrainConfig, total_loss
+from crossview.training import EpochMemories, TrainConfig, ViewBatch, ViewMemories, total_loss
 from reference import config
 
 
@@ -195,24 +196,26 @@ class TestFusion:
 
 
 def dual_total(np_rng, fused_loss_weight):
-    """total_loss of a two-query batch with the neighbourhood term off, and
-    the batch's base contrastive loss."""
+    """total_loss of a two-query batch, the same in both views, with the
+    neighbourhood term off, and the view's base contrastive mean and
+    gradients."""
     cents = unit_rows(np_rng, 3, 4)
-    q, ids, rows = np_rng.standard_normal((2, 4)), [1, 2], [0, 1]
-    banks = [init_memory(cents) for _ in range(2)]
-    duals = [init_dual(cents, config()) for _ in range(2)]
-    mem = EpochMemories(*banks, *duals)
+    q, ids, rows = np_rng.standard_normal((2, 4)), np.array([1, 2]), np.array([0, 1])
+    labels = PseudoLabels(np.arange(3), 3)
+    mem = EpochMemories(views=tuple(
+        ViewMemories(labels, init_memory(cents), init_dual(cents, config())) for _ in range(2)
+    ))
     cfg = TrainConfig(temperature=0.2, fused_loss_weight=fused_loss_weight, enable_neighbor=False)
-    out = total_loss(Batch(q, ids, rows, q, ids, rows), mem, cfg)
-    return out, batch_loss_cv(q, ids, q, ids, *banks, 0.2)
+    out = total_loss([ViewBatch(q, ids, rows)] * 2, mem, cfg)
+    return out, batch_loss_cv(q, ids, init_memory(cents), 0.2)
 
 
 class TestCombinedLoss:
     def test_zero_weight_reduces_to_base(self, np_rng):
         # the fused term adds no gradient: base and dual terms each carry the base one
-        out, base = dual_total(np_rng, 0.0)
-        np.testing.assert_allclose(out.drone_grads - 2.0 * base.drone_grads, 0.0, atol=1e-15)
-        np.testing.assert_allclose(out.sat_grads - 2.0 * base.sat_grads, 0.0, atol=1e-15)
+        out, (_, base_grads) = dual_total(np_rng, 0.0)
+        for grads in out.grads:
+            np.testing.assert_allclose(grads - 2.0 * base_grads, 0.0, atol=1e-15)
 
     def test_single_cluster_fused_term_zero(self, np_rng):
         dm = init_dual(unit_rows(np_rng, 1, 4), config())
@@ -222,8 +225,8 @@ class TestCombinedLoss:
 
     def test_exact_match_with_base_loss(self, np_rng):
         # bit-level: weight zero means the dual value IS the base value
-        out, base = dual_total(np_rng, 0.0)
-        assert out.dual == base.value
+        out, (base, _) = dual_total(np_rng, 0.0)
+        assert out.dual == base + base
 
     def test_gradient_matches_finite_differences(self, np_rng):
         for seed in range(5):

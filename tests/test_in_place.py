@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from conftest import unit_rows
 from crossview import encoder
 from crossview.cluster_memory import bank_contrastive_rows, init_memory
+from crossview.clustering import PseudoLabels
 from crossview.dual_memory import init_dual
 from crossview.neighborhood import build_instance_memory
 from crossview.numcore import Rng
-from crossview.training import Batch, EpochMemories, total_loss
+from crossview.training import EpochMemories, ViewBatch, ViewMemories, total_loss
 from reference import (
     config,
     reference_backward,
@@ -126,27 +127,24 @@ def test_total_loss_leaves_batch_memories_and_tapes_unchanged():
     ids = np.repeat(np.arange(32), 8)
     rows = rng.permutation(BATCH)
     cents = unit_rows(rng, BANK, 32)
-    memories = EpochMemories(
-        mem_d=init_memory(cents),
-        mem_s=init_memory(cents[::-1]),
-        dual_d=init_dual(cents, cfg),
-        dual_s=init_dual(cents[::-1], cfg),
-        inst_d=build_instance_memory(q_d),
-        inst_s=build_instance_memory(q_s),
-    )
-    batch = Batch(q_d, ids, rows, q_s, ids, rows)
+    labels = PseudoLabels(labels=ids, num_clusters=32)
+    memories = EpochMemories(views=tuple(
+        ViewMemories(labels, init_memory(c), init_dual(c, cfg), build_instance_memory(q))
+        for c, q in ((cents, q_d), (cents[::-1], q_s))
+    ))
+    batch = [ViewBatch(q_d, ids, rows), ViewBatch(q_s, ids, rows)]
 
     def everything():
-        duals = [getattr(dm, bank) for dm in (memories.dual_d, memories.dual_s)
+        duals = [getattr(view.dual, bank) for view in memories.views
                  for bank in ("short_term", "long_term", "fused")]
+        banks = [bank for view in memories.views for bank in (view.centroids, view.instances)]
         tapes = [getattr(tape, name) for tape in (tape_d, tape_s)
                  for name in ("inputs", "hidden", "norms", "embeddings")]
-        return snapshot(q_d, q_s, ids, rows, memories.mem_d, memories.mem_s,
-                        memories.inst_d, memories.inst_s, *duals, *tapes)
+        return snapshot(q_d, q_s, ids, rows, *banks, *duals, *tapes)
 
     before = everything()
     losses = total_loss(batch, memories, cfg)
     assert everything() == before
-    encoder.backward(params, tape_d, losses.drone_grads)
-    encoder.backward(params, tape_s, losses.sat_grads)
+    encoder.backward(params, tape_d, losses.grads[0])
+    encoder.backward(params, tape_s, losses.grads[1])
     assert everything() == before

@@ -31,13 +31,19 @@ def test_every_tracer_hook_resolves(perfbench_on_path):
 
 def test_every_tracer_counter_runs_on_a_traced_epoch_and_evaluation(perfbench_on_path):
     # a counter reads its call's arguments by position, so a signature
-    # change that moves them fails here rather than in a traced benchmark run
+    # change that moves them fails here rather than in a traced benchmark run.
+    # Every other hook must fire too: a caller that reaches a traced function
+    # by another name than the hooked one leaves its layer reading 0.
     import tracer
 
     ran = set()
+    called = set()
 
     def noting(key, counter):
         def count(args, kwargs, result):
+            called.add(key)
+            if counter is None:
+                return {}
             out = counter(args, kwargs, result)
             ran.add(key)
             return out
@@ -45,7 +51,7 @@ def test_every_tracer_counter_runs_on_a_traced_epoch_and_evaluation(perfbench_on
         return count
 
     hooks = [
-        (module, attr, name, counter and noting(f"{module.__name__}.{attr}", counter))
+        (module, attr, name, noting(f"{module.__name__}.{attr}", counter))
         for module, attr, name, counter in tracer.layer_hooks()
     ]
     originals = [(module, attr, getattr(module, attr)) for module, attr, _, _ in hooks]
@@ -66,7 +72,9 @@ def test_every_tracer_counter_runs_on_a_traced_epoch_and_evaluation(perfbench_on
     finally:
         trace.uninstall()
     assert all(getattr(module, attr) is original for module, attr, original in originals)
-    assert ran == {f"{module.__name__}.{attr}" for module, attr, _, counter in hooks if counter}
+    hooked = tracer.layer_hooks()
+    assert ran == {f"{module.__name__}.{attr}" for module, attr, _, counter in hooked if counter}
+    assert called == {f"{module.__name__}.{attr}" for module, attr, _, _ in hooked} - SILENT_HOOKS
     counts = trace.counts[0]
     assert counts["training.batches"] == config.iters_per_epoch
     # the centroid and long-term banks of both views take P x Z queries each
@@ -110,6 +118,14 @@ TRACER_ONLY_IMPORTS = {
     ("training", "collapse_replica_labels"),
     ("training", "recall_at_k"),
     ("training", "replicate_features"),
+}
+
+# The hooks that a training epoch and the CLI's evaluation never call: the
+# tracer-only imports, the benchmark's single-query ranking, and set-up.
+SILENT_HOOKS = {f"crossview.{module}.{attr}" for module, attr in TRACER_ONLY_IMPORTS} | {
+    "crossview.metrics.rank_gallery",
+    "crossview.cli.generate",
+    "crossview.cli.load_corpus",
 }
 
 

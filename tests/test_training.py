@@ -28,10 +28,11 @@ from crossview.neighborhood import build_instance_memory
 from crossview.numcore import Rng
 from crossview.config import ABLATIONS
 from crossview.training import (
-    Batch,
     EpochMemories,
     TrainConfig,
     Trainer,
+    ViewBatch,
+    ViewMemories,
     sample_view_batch,
     summary_record,
     total_loss,
@@ -277,32 +278,27 @@ class TestRefinedPartners:
         hard = np.array([2, 1, 0, 3, 2, 1])
         inst_d = build_instance_memory(unit_rows(rng, 10, 4))
         inst_s = build_instance_memory(unit_rows(rng, 6, 4))
-        memories = EpochMemories(
-            mem_d=init_memory(unit_rows(rng, 4, 4)),
-            mem_s=init_memory(unit_rows(rng, 3, 4)),
-            inst_d=inst_d,
-            inst_s=inst_s,
-            refined=RefinedLabels(scores=np.eye(4)[hard], hard=hard),
-            labels_d=labels_d,
-        )
+        mem_d = ViewMemories(labels_d, init_memory(unit_rows(rng, 4, 4)), instances=inst_d)
+        labels_s = PseudoLabels(hard % 3, 3)
+        mem_s = ViewMemories(labels_s, init_memory(unit_rows(rng, 3, 4)), instances=inst_s)
+        refined = RefinedLabels(scores=np.eye(4)[hard], hard=hard)
+        memories = EpochMemories(views=(mem_d, mem_s), refined=refined)
         drone_rows, sat_rows = np.array([0, 4, 7]), np.array([1, 3, 3, 4])
-        batch = Batch(
-            drone_emb=inst_d[drone_rows] + 0.05 * rng.standard_normal((3, 4)),
-            drone_cluster_ids=np.array([0, 1, 2]),
-            drone_rows=drone_rows,
-            sat_emb=inst_s[sat_rows] + 0.05 * rng.standard_normal((4, 4)),
-            sat_cluster_ids=np.array([0, 2, 2, 1]),
-            sat_rows=sat_rows,
-        )
+        emb_d = inst_d[drone_rows] + 0.05 * rng.standard_normal((3, 4))
+        emb_s = inst_s[sat_rows] + 0.05 * rng.standard_normal((4, 4))
+        batch = [
+            ViewBatch(emb_d, np.array([0, 1, 2]), drone_rows),
+            ViewBatch(emb_s, np.array([0, 2, 2, 1]), sat_rows),
+        ]
         partners = [np.flatnonzero(labels_d.labels == hard[row]) for row in sat_rows]
         value, gd, gs = reference_total(
-            batch.drone_emb, drone_rows, batch.sat_emb, sat_rows, inst_d, inst_s, cfg,
+            emb_d, drone_rows, emb_s, sat_rows, inst_d, inst_s, cfg,
             partners_s=partners,
         )
         got = total_loss(batch, memories, cfg)
         assert got.neighbor == pytest.approx(value, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(got.drone_grads, gd, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(got.sat_grads, gs, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.grads[0], gd, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.grads[1], gs, rtol=1e-12, atol=1e-12)
         memories.refined = None
         assert total_loss(batch, memories, cfg).neighbor != pytest.approx(value, abs=1e-9)
 
@@ -352,15 +348,13 @@ class TestCrossViewLearning:
         sat_per_loc=1, noise_std=0.05, seed=2024,
     )
 
-    def test_full_beats_baseline_beats_untrained(self):
-        # drone-to-satellite R@1. With these settings the order held at
-        # every epoch count from 13 on for training seeds 38-53, which
-        # chose the count, and at 15 epochs for seeds 54-69; seed 38 ends
-        # about 0.03 and 0.05 apart
+    @pytest.fixture(scope="class")
+    def r1(self):
+        """Final drone-to-satellite R@1 of each ablation at training seed 38."""
         corpus = tilted_view_corpus(self.SPEC, 0.9)
         gt_d, gt_s = corpus.ground_truth()
         r1 = {}
-        for name in ("baseline", "full"):
+        for name in ("baseline", "dual-memory", "full"):
             cfg = TrainConfig(seed=38, epochs=15, iters_per_epoch=32, smoothing_keep=1)
             trainer = Trainer(cfg.with_ablation(name), corpus)
             if not r1:
@@ -370,7 +364,21 @@ class TestCrossViewLearning:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 r1[name] = trainer.train()[-1].r1_ds
+        return r1
+
+    def test_full_beats_baseline_beats_untrained(self, r1):
+        # With these settings the order held at every epoch count from 13
+        # on for training seeds 38-53, which chose the count, and at 15
+        # epochs for seeds 54-69; seed 38 ends about 0.03 and 0.05 apart
         assert r1["untrained"] < r1["baseline"] < r1["full"], r1
+
+    def test_dual_memory_beats_baseline(self, r1):
+        # At 15 epochs, dual-memory beat baseline on all 32 training seeds
+        # 38-69, by 0.021 or more; seed 38 ends 0.037 apart. It is not
+        # pinned against full: full ended below dual-memory on seeds 42
+        # (0.568 against 0.574) and 51 (0.633 against 0.639), and level
+        # with it on seed 65. README has the whole sweep.
+        assert r1["untrained"] < r1["baseline"] < r1["dual-memory"], r1
 
 
 class TestMetricsFile:
