@@ -13,6 +13,7 @@ manifest before training starts.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -219,18 +220,29 @@ def _make_out_dir(path) -> Path:
     return out
 
 
+@contextmanager
+def _writing(target):
+    """Report a failed write inside the block as a ConfigError (exit 2) that
+    names the file, or ``target`` when the error names none."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{exc.filename or target}: cannot write results: {exc.strerror}") from None
+
+
 def cmd_generate(args) -> int:
     spec = _spec_from_args(args)
     out = _make_out_dir(args.out)
     corpus = generate(spec)
-    save_corpus(corpus, out / DRONE_FILE, out / SAT_FILE)
     manifest = {
         "tool_version": __version__,
         "command": "generate",
         "spec": spec.__dict__,
         "files": {"drone": DRONE_FILE, "satellite": SAT_FILE},
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _writing(out):
+        save_corpus(corpus, out / DRONE_FILE, out / SAT_FILE)
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out / DRONE_FILE} and {out / SAT_FILE}")
     return 0
 
@@ -250,15 +262,17 @@ def cmd_train(args) -> int:
         "config_sources": sources,
         "ablation": args.ablation,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _writing(out):
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     trainer = Trainer(config, corpus)
     records = trainer.train()
-    write_metrics(records, out / "metrics.jsonl", config)
-    encoder.save_params(trainer.params, out / "checkpoint.dmpw")
-    with open(out / "timings.txt", "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(f"epoch {record.epoch} wall_clock {record.wall_clock:.6f}\n")
-        fh.write(f"total {sum(r.wall_clock for r in records):.6f}\n")
+    with _writing(out):
+        write_metrics(records, out / "metrics.jsonl", config)
+        encoder.save_params(trainer.params, out / "checkpoint.dmpw")
+        with open(out / "timings.txt", "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(f"epoch {record.epoch} wall_clock {record.wall_clock:.6f}\n")
+            fh.write(f"total {sum(r.wall_clock for r in records):.6f}\n")
     if records:
         last = records[-1]
         print(
@@ -300,10 +314,8 @@ def cmd_eval(args) -> int:
     for key in SCORE_KEYS:
         print(f"{key} {results[key]:.6f}")
     if args.out:
-        try:
+        with _writing(args.out):
             Path(args.out).write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise ConfigError(f"{args.out}: cannot write results: {exc.strerror}") from None
     return 0
 
 
@@ -317,7 +329,7 @@ def cmd_diag(args) -> int:
     _check_input_dim(params, corpus)
     gt_d, gt_s = corpus.ground_truth()
     trace_path = run / "cluster_trace.tsv"
-    with open(trace_path, "w", encoding="utf-8") as fh:
+    with _writing(trace_path), open(trace_path, "w", encoding="utf-8") as fh:
         fh.write("epoch\tclusters_drone\tclusters_sat\n")
         for epoch, drone, sat in trace:
             fh.write(f"{epoch}\t{drone}\t{sat}\n")
@@ -329,7 +341,7 @@ def cmd_diag(args) -> int:
     pos_counts, _ = np.histogram(np.clip(sims[positive_mask], -1.0, 1.0), bins=edges)
     neg_counts, _ = np.histogram(np.clip(sims[~positive_mask], -1.0, 1.0), bins=edges)
     hist_path = run / "similarity_hist.tsv"
-    with open(hist_path, "w", encoding="utf-8") as fh:
+    with _writing(hist_path), open(hist_path, "w", encoding="utf-8") as fh:
         fh.write("bin_lo\tbin_hi\tpositive\tnegative\n")
         for b in range(HIST_BINS):
             fh.write(f"{edges[b]:.6f}\t{edges[b + 1]:.6f}\t{pos_counts[b]}\t{neg_counts[b]}\n")

@@ -198,14 +198,18 @@ def load_corpus(drone_path, sat_path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, drone_path, sat_path) -> None:
-    """Write both view files. A view that float32 cannot hold, which
-    ``load_feature_file`` would reject, fails before either file is opened."""
-    for view, raw in (("drone", corpus.drone_raw), ("satellite", corpus.sat_raw)):
+    """Write both view files. A view the format cannot hold, features beyond
+    float32 (which ``load_feature_file`` rejects) or location ids beyond
+    int32 (which would wrap), fails before either file is opened."""
+    labels = corpus.ground_truth() if corpus.has_ground_truth else (None, None)
+    for view, raw, loc in zip(("drone", "satellite"), (corpus.drone_raw, corpus.sat_raw), labels):
         with np.errstate(over="ignore"):  # the overflow is the error raised here
             if not np.isfinite(raw.astype("<f4")).all():
                 raise NonFiniteDataError(f"{view} features do not fit float32")
-    labels_d = labels_s = None
-    if corpus.has_ground_truth:
-        labels_d, labels_s = corpus.ground_truth()
-    save_features(drone_path, "drone", corpus.drone_raw, labels=labels_d)
-    save_features(sat_path, "satellite", corpus.sat_raw, labels=labels_s)
+        if loc is None:
+            continue
+        wrapped = loc != loc.astype("<i4")
+        if wrapped.any():
+            raise DataError(f"{view} location id {loc[wrapped][0]} does not fit int32")
+    save_features(drone_path, "drone", corpus.drone_raw, labels=labels[0])
+    save_features(sat_path, "satellite", corpus.sat_raw, labels=labels[1])

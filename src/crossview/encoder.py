@@ -30,7 +30,11 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class EncoderParams:
-    """Dense parameters: w1 (hidden x input), b1, w2 (embed x hidden), b2."""
+    """Dense parameters: w1 (hidden x input), b1, w2 (embed x hidden), b2.
+
+    A gradient has the same shapes, so ``backward`` returns one of these
+    too, and ``+=`` accumulates gradients in place.
+    """
 
     w1: np.ndarray
     b1: np.ndarray
@@ -49,19 +53,13 @@ class EncoderParams:
     def embed_dim(self) -> int:
         return self.w2.shape[0]
 
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The arrays in declaration order, which is the checkpoint's order."""
+        return (self.w1, self.b1, self.w2, self.b2)
 
-@dataclass
-class EncoderGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def __iadd__(self, other: "EncoderGrads") -> "EncoderGrads":
-        self.w1 += other.w1
-        self.b1 += other.b1
-        self.w2 += other.w2
-        self.b2 += other.b2
+    def __iadd__(self, other: "EncoderParams") -> "EncoderParams":
+        for mine, theirs in zip(self.arrays(), other.arrays()):
+            mine += theirs
         return self
 
 
@@ -113,8 +111,9 @@ def forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape]:
     return u, ForwardTape(X, hidden, norms, u)
 
 
-def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> EncoderGrads:
-    """Exact gradient of a scalar loss given its gradient at the embeddings.
+def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> EncoderParams:
+    """Exact gradient of a scalar loss given its gradient at the embeddings,
+    one array per parameter.
 
     Includes the Jacobian of the final row normalization:
     d/du (u/|u|) = (I - e e^T) / |u| with e = u/|u|.
@@ -137,37 +136,28 @@ def backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> EncoderG
     d_act *= slope
     dw1 = d_act.T @ tape.inputs
     db1 = d_act.sum(axis=0)
-    return EncoderGrads(dw1, db1, dw2, db2)
+    return EncoderParams(dw1, db1, dw2, db2)
 
 
-def sgd_step(params: EncoderParams, grads: EncoderGrads, lr: float) -> EncoderParams:
-    """Plain gradient descent: theta <- theta - lr * g."""
-    for g in (grads.w1, grads.b1, grads.w2, grads.b2):
+def sgd_step(params: EncoderParams, grads: EncoderParams, lr: float) -> EncoderParams:
+    """Plain gradient descent into new arrays: theta <- theta - lr * g."""
+    for g in grads.arrays():
         if not np.all(np.isfinite(g)):
             raise NumericError("non-finite gradient in sgd_step")
-    return EncoderParams(
-        w1=params.w1 - lr * grads.w1,
-        b1=params.b1 - lr * grads.b1,
-        w2=params.w2 - lr * grads.w2,
-        b2=params.b2 - lr * grads.b2,
-    )
+    return EncoderParams(*(p - lr * g for p, g in zip(params.arrays(), grads.arrays())))
 
 
 def flatten_params(params: EncoderParams) -> np.ndarray:
-    return np.concatenate(
-        [params.w1.ravel(), params.b1.ravel(), params.w2.ravel(), params.b2.ravel()]
-    )
+    return np.concatenate([a.ravel() for a in params.arrays()])
 
 
 def unflatten_params(flat, like: EncoderParams) -> EncoderParams:
     flat = np.asarray(flat, dtype=np.float64)
-    shapes = [like.w1.shape, like.b1.shape, like.w2.shape, like.b2.shape]
     out = []
     pos = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        out.append(flat[pos : pos + size].reshape(shape).copy())
-        pos += size
+    for a in like.arrays():
+        out.append(flat[pos : pos + a.size].reshape(a.shape).copy())
+        pos += a.size
     if pos != flat.size:
         raise ValueError(f"flat vector has {flat.size} entries, expected {pos}")
     return EncoderParams(*out)
@@ -181,7 +171,8 @@ def save_params(params: EncoderParams, path) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(dims)))
         fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        fh.write(flatten_params(params).astype("<f8").tobytes())
+        for a in params.arrays():
+            fh.write(a.astype("<f8").tobytes())
 
 
 def load_params(path) -> EncoderParams:
@@ -204,9 +195,9 @@ def load_params(path) -> EncoderParams:
     input_dim, hidden_dim, embed_dim = struct.unpack_from(f"<{ndims}I", blob, 12)
     if 0 in (input_dim, hidden_dim, embed_dim):
         raise DataError(f"{path}: zero layer dimension in {input_dim} x {hidden_dim} x {embed_dim}")
-    count = (
-        hidden_dim * input_dim + hidden_dim + embed_dim * hidden_dim + embed_dim
-    )
+    # Python ints: a damaged dimension cannot overflow the size checked below
+    shapes = [(hidden_dim, input_dim), (hidden_dim,), (embed_dim, hidden_dim), (embed_dim,)]
+    count = sum(math.prod(shape) for shape in shapes)
     payload = blob[12 + 4 * ndims :]
     if len(payload) != 8 * count:
         raise TruncatedFileError(
@@ -215,10 +206,5 @@ def load_params(path) -> EncoderParams:
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.isfinite(flat).all():
         raise NonFiniteDataError(f"{path}: payload contains non-finite values")
-    like = EncoderParams(
-        w1=np.empty((hidden_dim, input_dim)),
-        b1=np.empty(hidden_dim),
-        w2=np.empty((embed_dim, hidden_dim)),
-        b2=np.empty(embed_dim),
-    )
-    return unflatten_params(flat, like)
+    # allocated only now that the payload has been found to hold every entry
+    return unflatten_params(flat, EncoderParams(*map(np.empty, shapes)))

@@ -145,8 +145,7 @@ def _direction_batch(queries, mem: np.ndarray, config: TrainConfig, own, forced)
 @dataclass
 class NeighborhoodLoss:
     value: float
-    drone_grads: np.ndarray
-    sat_grads: np.ndarray
+    grads: list[np.ndarray]  # per view, drone then satellite
 
 
 def neighborhood_total(
@@ -169,24 +168,22 @@ def neighborhood_total(
     satellite query i's cross-view threshold set, which is how refined
     pseudo-labels feed back into training.
     """
-    drone_queries = as_matrix(drone_queries, "drone queries")
-    sat_queries = as_matrix(sat_queries, "satellite queries")
-    drone_indices = np.asarray(drone_indices, dtype=np.int64)
-    sat_indices = np.asarray(sat_indices, dtype=np.int64)
-    gd = np.zeros_like(drone_queries)
-    gs = np.zeros_like(sat_queries)
     total = 0.0
-    for queries, own, grads, intra, cross, forced in (
-        (drone_queries, drone_indices, gd, mem_d, mem_s, None),
-        (sat_queries, sat_indices, gs, mem_s, mem_d, forced_s),
+    grads = []
+    for view, queries, own, intra, cross, forced in (
+        ("drone", drone_queries, drone_indices, mem_d, mem_s, None),
+        ("satellite", sat_queries, sat_indices, mem_s, mem_d, forced_s),
     ):
+        queries = as_matrix(queries, f"{view} queries")
+        own = np.asarray(own, dtype=np.int64)
         b = queries.shape[0]
         if own.shape != (b,):
             raise ValueError(f"{own.size} memory indices for {b} query rows")
         if b == 0:
+            grads.append(np.zeros_like(queries))
             continue
         v_intra, g_intra = _direction_batch(queries, intra, config, own, None)
         v_cross, g_cross = _direction_batch(queries, cross, config, np.full(b, -1), forced)
         total += float((v_intra + v_cross).sum()) / b
-        grads[:] = (g_intra + g_cross) / b
-    return NeighborhoodLoss(value=float(total), drone_grads=gd, sat_grads=gs)
+        grads.append((g_intra + g_cross) / b)
+    return NeighborhoodLoss(value=float(total), grads=grads)

@@ -13,7 +13,6 @@ __all__ = [
     "Rng",
     "as_int_ids",
     "as_matrix",
-    "ensure_finite",
     "row_norms",
     "l2_normalize_rows",
     "pairwise_sim",
@@ -26,7 +25,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    ensure_finite(out, name)
+    if not np.isfinite(out).all():
+        raise NumericError(f"{name} contains non-finite values")
     return out
 
 
@@ -39,11 +39,6 @@ def as_int_ids(a, message: str) -> np.ndarray:
     if not np.array_equal(ids, raw):
         raise ValueError(message)
     return ids
-
-
-def ensure_finite(a, what: str = "array") -> None:
-    if not np.isfinite(a).all():
-        raise NumericError(f"{what} contains non-finite values")
 
 
 def row_norms(A) -> np.ndarray:

@@ -185,8 +185,8 @@ def total_loss(batch: list[ViewBatch], memories: EpochMemories, config: TrainCon
         )
         neighbor_value = nbr.value
         value += config.coeff_neighbor * neighbor_value
-        grads[0] += config.coeff_neighbor * nbr.drone_grads
-        grads[1] += config.coeff_neighbor * nbr.sat_grads
+        for g, view_grads in zip(grads, nbr.grads):
+            g += config.coeff_neighbor * view_grads
     if not math.isfinite(value):
         raise NumericError(f"non-finite total loss: {value}")
     return TotalLoss(

@@ -19,7 +19,7 @@ import numpy as np
 
 from crossview.clustering import NOISE, PseudoLabels
 from crossview.datagen import Corpus, SyntheticSpec
-from crossview.encoder import EncoderGrads, EncoderParams, ForwardTape
+from crossview.encoder import EncoderParams, ForwardTape
 from crossview.errors import DegenerateInputError
 from crossview.metrics import rank_gallery
 from crossview.numcore import Rng, l2_normalize_rows, row_norms
@@ -88,7 +88,7 @@ def reference_forward(params: EncoderParams, X) -> tuple[np.ndarray, ForwardTape
     return embeddings, ForwardTape(X, hidden, norms, embeddings)
 
 
-def reference_backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> EncoderGrads:
+def reference_backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -> EncoderParams:
     """``encoder.backward`` with a fresh array for every step."""
     dE = np.asarray(d_embeddings, dtype=np.float64)
     e = tape.embeddings
@@ -100,7 +100,7 @@ def reference_backward(params: EncoderParams, tape: ForwardTape, d_embeddings) -
     d_act = d_hidden * (1.0 - tape.hidden**2)
     dw1 = d_act.T @ tape.inputs
     db1 = d_act.sum(axis=0)
-    return EncoderGrads(dw1, db1, dw2, db2)
+    return EncoderParams(dw1, db1, dw2, db2)
 
 
 def _query_sims(q, mem: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -421,17 +421,8 @@ def tilted_view_corpus(spec: SyntheticSpec, theta: float) -> Corpus:
     return Corpus(drone, sat, drone_loc=drone_loc, sat_loc=sat_loc)
 
 
-def zero_grads(params: EncoderParams) -> EncoderGrads:
-    return EncoderGrads(
-        np.zeros_like(params.w1),
-        np.zeros_like(params.b1),
-        np.zeros_like(params.w2),
-        np.zeros_like(params.b2),
-    )
-
-
-def flatten_grads(grads: EncoderGrads) -> np.ndarray:
-    return np.concatenate([grads.w1.ravel(), grads.b1.ravel(), grads.w2.ravel(), grads.b2.ravel()])
+def zero_grads(params: EncoderParams) -> EncoderParams:
+    return EncoderParams(*map(np.zeros_like, params.arrays()))
 
 
 def uniform_stream(rng: Rng, n: int) -> np.ndarray:

@@ -550,6 +550,38 @@ def test_bad_corpus_entry_exit_3(tmp_path, capsys, entry, command):
     assert str(run / "manifest.json") in capsys.readouterr().err
 
 
+# (command, output file) for every file each command writes
+OUTPUT_FILES = [
+    ("generate", "drone.dmfv"),
+    ("generate", "satellite.dmfv"),
+    ("generate", "manifest.json"),
+    ("train", "manifest.json"),
+    ("train", "metrics.jsonl"),
+    ("train", "checkpoint.dmpw"),
+    ("train", "timings.txt"),
+    ("eval", "eval.json"),
+    ("diag", "cluster_trace.tsv"),
+    ("diag", "similarity_hist.tsv"),
+]
+
+
+@pytest.mark.parametrize("command, name", OUTPUT_FILES)
+def test_output_file_that_is_a_directory_exit_2(tmp_path, capsys, command, name):
+    run = fake_run_dir(tmp_path, json.dumps({"corpus": SMALL_CORPUS}))
+    out = tmp_path / "out"
+    argv = {
+        "generate": ["generate", "--out", str(out), "--locations", "4"],
+        "train": tiny_train_args(out, extra=["--epochs", "0"]),
+        "eval": ["eval", "--checkpoint", str(run / "checkpoint.dmpw"), "--run", str(run),
+                 "--out", str(out / name)],
+        "diag": ["diag", "--run", str(run)],
+    }[command]
+    blocked = (run if command == "diag" else out) / name
+    blocked.mkdir(parents=True)
+    assert run_cli(argv) == 2
+    assert f"{blocked}: cannot write results" in capsys.readouterr().err
+
+
 def test_small_corpus_entry_is_valid(tmp_path):
     # the corrupt-metrics cases above fail on the metrics file alone
     run = fake_run_dir(tmp_path, json.dumps({"corpus": SMALL_CORPUS}))

@@ -99,6 +99,28 @@ class TestFeatureFiles:
         assert hashlib.sha256(d1.read_bytes()).digest() == hashlib.sha256(d2.read_bytes()).digest()
         assert hashlib.sha256(s1.read_bytes()).digest() == hashlib.sha256(s2.read_bytes()).digest()
 
+    def test_int32_extreme_location_ids_round_trip(self, tmp_path):
+        ids = [2**31 - 1, -(2**31)]
+        corpus = Corpus(np.eye(2), np.eye(2), drone_loc=ids, sat_loc=ids[::-1])
+        d, s = tmp_path / "d.dmfv", tmp_path / "s.dmfv"
+        save_corpus(corpus, d, s)
+        loaded = load_corpus(d, s)
+        np.testing.assert_array_equal(loaded.ground_truth()[0], ids)
+        np.testing.assert_array_equal(loaded.ground_truth()[1], ids[::-1])
+
+    @pytest.mark.parametrize("drone, sat, message", [
+        ([2**32, 1], [2**32, 1], "drone location id 4294967296"),
+        ([2**31, 1], [0, 1], "drone location id 2147483648"),
+        ([0, 1], [1, -(2**31) - 1], "satellite location id -2147483649"),
+    ], ids=["2**32", "2**31", "below int32"])
+    def test_location_ids_beyond_int32_rejected_before_writing(self, tmp_path, drone, sat, message):
+        # the label block holds int32: these used to come back wrapped
+        corpus = Corpus(np.eye(2), np.eye(2), drone_loc=drone, sat_loc=sat)
+        d, s = tmp_path / "d.dmfv", tmp_path / "s.dmfv"
+        with pytest.raises(DataError, match=f"{message} does not fit int32"):
+            save_corpus(corpus, d, s)
+        assert not d.exists() and not s.exists()
+
     def test_handcrafted_bytes(self, tmp_path):
         # 2 instances, dim 3, drone view, with a label block
         payload = np.array([[1.0, 0.5, -0.25], [0.0, 2.0, 4.0]], dtype="<f4")

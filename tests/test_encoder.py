@@ -1,4 +1,5 @@
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from crossview.errors import (
     TruncatedFileError,
 )
 from crossview.numcore import Rng
-from reference import flatten_grads, zero_grads
+from reference import zero_grads
 
 
 def small_setup(seed=0, n=5, input_dim=6, hidden=4, embed=5):
@@ -80,7 +81,7 @@ class TestBackward:
         params, X = small_setup()
         emb, tape = encoder.forward(params, X)
         grads = encoder.backward(params, tape, np.zeros_like(emb))
-        for g in (grads.w1, grads.b1, grads.w2, grads.b2):
+        for g in grads.arrays():
             assert np.all(g == 0.0)
 
     def test_linear_loss_matches_finite_differences(self):
@@ -95,7 +96,7 @@ class TestBackward:
         emb, tape = encoder.forward(params, X)
         grads = encoder.backward(params, tape, np.tile(c, (1, 1)))
         fd = finite_difference(loss_at, encoder.flatten_params(params))
-        assert rel_error(flatten_grads(grads), fd) <= 1e-6
+        assert rel_error(encoder.flatten_params(grads), fd) <= 1e-6
 
     def test_batch_quadratic_loss_matches_finite_differences(self, np_rng):
         params, X = small_setup(seed=5, n=4)
@@ -109,7 +110,7 @@ class TestBackward:
         emb, tape = encoder.forward(params, X)
         grads = encoder.backward(params, tape, emb - target)
         fd = finite_difference(loss_at, encoder.flatten_params(params))
-        assert rel_error(flatten_grads(grads), fd) <= 1e-6
+        assert rel_error(encoder.flatten_params(grads), fd) <= 1e-6
 
     def test_shape_check(self):
         params, X = small_setup()
@@ -135,7 +136,7 @@ class TestSgdStep:
         params = encoder.EncoderParams(
             w1=np.array([[1.0]]), b1=np.zeros(1), w2=np.array([[1.0]]), b2=np.zeros(1)
         )
-        grads = encoder.EncoderGrads(
+        grads = encoder.EncoderParams(
             w1=np.array([[2.0]]), b1=np.zeros(1), w2=np.zeros((1, 1)), b2=np.zeros(1)
         )
         out = encoder.sgd_step(params, grads, 0.001)
@@ -171,6 +172,15 @@ class TestInit:
     def test_zero_dims_rejected(self):
         with pytest.raises(ValueError):
             encoder.init_params(Rng(0), 0, 4, 4)
+
+
+def test_arrays_are_every_field_in_declaration_order():
+    # the checkpoint, flatten_params and sgd_step all walk arrays()
+    params, _ = small_setup()
+    want = [getattr(params, f.name) for f in fields(encoder.EncoderParams)]
+    got = params.arrays()
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
 
 
 class TestCheckpoint:

@@ -53,8 +53,8 @@ def assert_matches_reference(case):
     out = neighborhood_total(**case, forced_s=partner_mask(partners, case["mem_d"].shape[0]))
     value, gd, gs = reference_total(**case, partners_s=partners)
     assert out.value == pytest.approx(value, rel=1e-12, abs=1e-12)
-    np.testing.assert_allclose(out.drone_grads, gd, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(out.sat_grads, gs, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.grads[0], gd, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.grads[1], gs, rtol=1e-12, atol=1e-12)
 
 
 class TestInstanceMemory:
@@ -350,7 +350,7 @@ class TestCombination:
                 return neighborhood_total(qd, rows_d, qs, rows_s, mem_d, mem_s, w).value
 
             out = neighborhood_total(qd0, rows_d, qs0, rows_s, mem_d, mem_s, w)
-            grad = np.concatenate([out.drone_grads.ravel(), out.sat_grads.ravel()])
+            grad = np.concatenate([g.ravel() for g in out.grads])
             flat0 = np.concatenate([qd0.ravel(), qs0.ravel()])
             assert rel_error(grad, finite_difference(value, flat0)) <= 1e-5
 
