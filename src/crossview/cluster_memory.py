@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .config import TrainConfig
-from .numcore import as_matrix
+from .numcore import as_int_ids, as_matrix
 
 
 def init_memory(centroids) -> np.ndarray:
@@ -51,11 +51,8 @@ def bank_contrastive_rows(queries, bank, positive_ids, temperature: float) -> tu
     buffer; the log-sum-exp's exponentials are the only other one.
     """
     bank = np.asarray(bank, dtype=np.float64)
-    positive_ids = np.asarray(positive_ids, dtype=np.int64)
-    if positive_ids.shape != (len(queries),):
-        raise ValueError(f"{positive_ids.size} positive ids for {len(queries)} query rows")
-    if positive_ids.size and (positive_ids.min() < 0 or positive_ids.max() >= bank.shape[0]):
-        raise ValueError("positive id out of range")
+    message = "{count} positive ids: need one integer in [0, {bound}) each for {rows} query rows"
+    positive_ids = as_int_ids(positive_ids, message, len(queries), bank.shape[0])
     rows = np.arange(positive_ids.size)
     buf = queries @ bank.T
     buf /= temperature
@@ -76,9 +73,6 @@ def batch_loss_cv(queries, ids, bank: np.ndarray, temperature: float) -> tuple[f
     must have a real (non-noise) pseudo-label; noise is excluded upstream.
     """
     queries = as_matrix(queries, "queries")
-    ids = np.asarray(ids, dtype=np.int64)
-    if np.any(ids < 0):
-        raise ValueError("noise-labeled query in contrastive batch")
     n = queries.shape[0]
     if n == 0:
         raise ValueError("empty query batch")

@@ -43,7 +43,7 @@ class PseudoLabels:
     num_clusters: int
 
     def __post_init__(self):
-        self.labels = as_int_ids(self.labels, "labels must be integer cluster ids")
+        self.labels = as_int_ids(self.labels, "labels must be integer cluster ids").copy()
         if self.labels.ndim != 1:
             raise ValueError(f"labels must be 1-D, got shape {self.labels.shape}")
         lo, hi = self.labels.min(initial=NOISE), self.labels.max(initial=NOISE)
@@ -116,7 +116,7 @@ def collapse_replica_labels(labels: PseudoLabels, index_map, n_originals: int) -
     all noise with no clusters. Reference for the trainer's shortcut (see
     ``replicate_features``).
     """
-    index_map = np.asarray(index_map, dtype=np.int64)
+    index_map = as_int_ids(index_map, "index map entries must be ids in [0, {bound})", None, n_originals)
     first = np.full(n_originals, -2, dtype=np.int64)
     for pos in range(index_map.size - 1, -1, -1):
         first[index_map[pos]] = pos

@@ -73,7 +73,7 @@ def _locations(loc, name: str) -> np.ndarray | None:
     if loc is None:
         return None
     try:
-        return as_int_ids(loc, f"{name} labels must be integer location ids")
+        return as_int_ids(loc, f"{name} labels must be integer location ids").copy()
     except ValueError as exc:
         raise DataError(str(exc)) from None
 
@@ -127,21 +127,34 @@ def generate(spec: SyntheticSpec) -> Corpus:
 
 def save_features(path, view: str, features, labels=None) -> None:
     """One file per view: magic, version u32, view tag u8, count u32,
-    dim u32, float32 payload, then an optional label block."""
+    dim u32, float32 payload, then an optional label block. A view the
+    format cannot hold fails before the file is opened."""
+    parts = _feature_file(view, features, labels)
+    with open(path, "wb") as fh:
+        fh.writelines(parts)
+
+
+def _feature_file(view: str, features, labels) -> list:
+    """The parts of one view file, in order. Features beyond float32 (which
+    ``load_feature_file`` rejects) and location ids beyond int32 (which
+    would wrap) are errors."""
     if view not in VIEW_TAGS:
         raise ValueError(f"view must be one of {sorted(VIEW_TAGS)}")
     features = as_matrix(features, "features")
     count, dim = features.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IBII", FEATURE_VERSION, VIEW_TAGS[view], count, dim))
-        fh.write(features.astype("<f4").tobytes())
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
-            if labels.size != count:
-                raise ValueError("label count must match feature rows")
-            fh.write(LABEL_MARKER)
-            fh.write(labels.astype("<i4").tobytes())
+    with np.errstate(over="ignore"):  # the overflow is the error raised here
+        payload = features.astype("<f4")
+    if not np.isfinite(payload).all():
+        raise NonFiniteDataError(f"{view} features do not fit float32")
+    parts = [FEATURE_MAGIC, struct.pack("<IBII", FEATURE_VERSION, VIEW_TAGS[view], count, dim), payload]
+    if labels is not None:
+        labels = as_int_ids(labels, "{count} location ids: need one integer each for {rows} rows", count)
+        block = labels.astype("<i4")
+        wrapped = labels != block
+        if wrapped.any():
+            raise DataError(f"{view} location id {labels[wrapped][0]} does not fit int32")
+        parts += [LABEL_MARKER, block]
+    return parts
 
 
 def load_feature_file(path) -> tuple[str, np.ndarray, np.ndarray | None]:
@@ -198,18 +211,11 @@ def load_corpus(drone_path, sat_path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, drone_path, sat_path) -> None:
-    """Write both view files. A view the format cannot hold, features beyond
-    float32 (which ``load_feature_file`` rejects) or location ids beyond
-    int32 (which would wrap), fails before either file is opened."""
+    """Write both view files. A view the format cannot hold fails before
+    either file is opened."""
     labels = corpus.ground_truth() if corpus.has_ground_truth else (None, None)
-    for view, raw, loc in zip(("drone", "satellite"), (corpus.drone_raw, corpus.sat_raw), labels):
-        with np.errstate(over="ignore"):  # the overflow is the error raised here
-            if not np.isfinite(raw.astype("<f4")).all():
-                raise NonFiniteDataError(f"{view} features do not fit float32")
-        if loc is None:
-            continue
-        wrapped = loc != loc.astype("<i4")
-        if wrapped.any():
-            raise DataError(f"{view} location id {loc[wrapped][0]} does not fit int32")
-    save_features(drone_path, "drone", corpus.drone_raw, labels=labels[0])
-    save_features(sat_path, "satellite", corpus.sat_raw, labels=labels[1])
+    views = zip(("drone", "satellite"), (corpus.drone_raw, corpus.sat_raw), labels)
+    files = [_feature_file(view, raw, loc) for view, raw, loc in views]
+    for path, parts in zip((drone_path, sat_path), files):
+        with open(path, "wb") as fh:
+            fh.writelines(parts)

@@ -20,7 +20,7 @@ from . import kernels
 from .cluster_memory import bank_contrastive_rows
 from .config import TrainConfig
 from .errors import DegenerateInputError
-from .numcore import as_matrix, l2_normalize_rows, row_norms
+from .numcore import as_int_ids, as_matrix, l2_normalize_rows, row_norms
 
 
 @dataclass
@@ -69,13 +69,10 @@ def compute_beta(batch_queries, dm: DualMemory, cluster_ids) -> float:
     """Adaptive coefficient 1 / (1 + exp(-d)), d the mean query-to-long-term
     distance; d >= 0, so exp(-d) cannot overflow."""
     batch_queries = as_matrix(batch_queries, "queries")
-    cluster_ids = np.asarray(cluster_ids, dtype=np.int64)
     if batch_queries.shape[0] == 0:
         raise ValueError("empty batch")
-    if cluster_ids.shape != batch_queries.shape[:1]:
-        raise ValueError(f"{cluster_ids.size} cluster ids for {batch_queries.shape[0]} query rows")
-    if cluster_ids.min() < 0 or cluster_ids.max() >= dm.num_clusters:
-        raise ValueError("cluster id out of range")
+    message = "{count} cluster ids: need one integer in [0, {bound}) each for {rows} query rows"
+    cluster_ids = as_int_ids(cluster_ids, message, batch_queries.shape[0], dm.num_clusters)
     diffs = batch_queries - dm.long_term[cluster_ids]
     mean_dist = float(row_norms(diffs).mean())
     return float(1.0 / (1.0 + np.exp(-mean_dist)))
@@ -84,9 +81,7 @@ def compute_beta(batch_queries, dm: DualMemory, cluster_ids) -> float:
 def update_short_term(dm: DualMemory, beta: float, clusters) -> DualMemory:
     """Blend the short-term rows of the batch's distinct clusters toward the
     long-term bank."""
-    ids = np.asarray(clusters, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= dm.num_clusters):
-        raise ValueError("cluster id out of range")
+    ids = as_int_ids(clusters, "cluster id out of range [0, {bound})", None, dm.num_clusters)
     blended = beta * dm.long_term[ids] + (1.0 - beta) * dm.short_term[ids]
     dm.short_term[ids] = _normalized(blended, "short-term", ids)
     return dm

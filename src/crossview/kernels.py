@@ -13,6 +13,7 @@ scatters the block back once.
 import numpy as np
 
 from .errors import DegenerateInputError
+from .numcore import as_int_ids
 
 
 def expand_clusters(indptr, indices, core) -> np.ndarray:
@@ -65,15 +66,13 @@ def blend_chain(bank, queries, clusters, w_old: float, w_new: float, renorm: boo
     once. Every row gets the same arithmetic, in the same order, as one
     update at a time.
     """
-    clusters = np.asarray(clusters, dtype=np.int64)
+    clusters = as_int_ids(clusters, "cluster id out of range [0, {bound})", None, bank.shape[0])
     queries = np.asarray(queries, dtype=np.float64)
     p, n = clusters.size, queries.shape[0]
     z, ragged = divmod(n, p) if p else (0, n)
     if ragged:
         raise ValueError(f"{n} queries do not split evenly over {p} clusters")
     ordered = np.sort(clusters)
-    if p and (ordered[0] < 0 or ordered[-1] >= bank.shape[0]):
-        raise ValueError("cluster id out of range")
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("repeated cluster in batch")
     pulls = queries.reshape(p, z, queries.shape[1]) * w_new

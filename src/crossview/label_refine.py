@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import NOISE, PseudoLabels
 from .config import TrainConfig
-from .numcore import Rng, as_matrix, l2_normalize_rows, pairwise_sim, top_k_indices
+from .numcore import Rng, as_int_ids, as_matrix, l2_normalize_rows, pairwise_sim, top_k_indices
 
 
 @dataclass
@@ -55,8 +55,8 @@ def consistency_vote(list_orig, list_pert) -> np.ndarray:
     """Per instance: the label with the largest agreement count between the
     two ranked lists (multiset intersection), ties to the smaller label id,
     falling back to the original list's top label when nothing agrees."""
-    list_orig = np.asarray(list_orig, dtype=np.int64)
-    list_pert = np.asarray(list_pert, dtype=np.int64)
+    list_orig = as_int_ids(list_orig, "ranked labels must be integer cluster ids")
+    list_pert = as_int_ids(list_pert, "ranked labels must be integer cluster ids")
     if list_orig.shape != list_pert.shape:
         raise ValueError("ranked label lists must have matching shapes")
     m, depth = list_orig.shape
@@ -82,9 +82,7 @@ def smooth_labels(sat_feats, sat_feats_pert, votes, num_classes: int, keep: int)
     competes like any other), and scores[i, c] counts the kept rows of row
     i that voted c. Hard labels are row argmaxes, lowest index winning ties.
     """
-    votes = np.asarray(votes, dtype=np.int64)
-    if votes.size and (votes.min() < 0 or votes.max() >= num_classes):
-        raise ValueError(f"vote out of range for {num_classes} classes")
+    votes = as_int_ids(votes, "vote out of range for {bound} classes", None, num_classes)
     combined = pairwise_sim(sat_feats, sat_feats) + pairwise_sim(sat_feats_pert, sat_feats_pert)
     m = combined.shape[0]
     if votes.size != m:
@@ -128,9 +126,9 @@ def refinement_agreement(refined_hard, drone_labels: PseudoLabels, drone_loc, sa
     """Fraction of satellite instances whose refined label equals the
     dominant drone cluster of their true location. Locations whose drone
     instances are all noise count as disagreement."""
-    refined_hard = np.asarray(refined_hard, dtype=np.int64)
-    drone_loc = np.asarray(drone_loc, dtype=np.int64)
-    sat_loc = np.asarray(sat_loc, dtype=np.int64)
+    refined_hard = as_int_ids(refined_hard, "refined labels must be integer cluster ids")
+    drone_loc = as_int_ids(drone_loc, "drone labels must be integer location ids")
+    sat_loc = as_int_ids(sat_loc, "satellite labels must be integer location ids")
     hits = 0
     for m in range(refined_hard.size):
         member_labels = drone_labels.labels[drone_loc == sat_loc[m]]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .numcore import as_matrix, row_norms, top_k_indices
+from .numcore import as_int_ids, as_matrix, row_norms, top_k_indices
 
 __all__ = [
     "build_instance_memory",
@@ -175,13 +175,13 @@ def neighborhood_total(
         ("satellite", sat_queries, sat_indices, mem_s, mem_d, forced_s),
     ):
         queries = as_matrix(queries, f"{view} queries")
-        own = np.asarray(own, dtype=np.int64)
         b = queries.shape[0]
-        if own.shape != (b,):
-            raise ValueError(f"{own.size} memory indices for {b} query rows")
+        own = as_int_ids(own, "{count} memory indices: need one integer each for {rows} query rows", b)
         if b == 0:
             grads.append(np.zeros_like(queries))
             continue
+        if own.max() >= intra.shape[0]:
+            raise ValueError(f"{view} memory index {own.max()} out of range for {intra.shape[0]} rows")
         v_intra, g_intra = _direction_batch(queries, intra, config, own, None)
         v_cross, g_cross = _direction_batch(queries, cross, config, np.full(b, -1), forced)
         total += float((v_intra + v_cross).sum()) / b

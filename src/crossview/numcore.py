@@ -30,14 +30,22 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def as_int_ids(a, message: str) -> np.ndarray:
-    """Cast to int64. A value the cast would change (a fraction, NaN, a
-    float beyond int64) is a ValueError carrying ``message``."""
-    raw = np.asarray(a)
-    with np.errstate(invalid="ignore"):
-        ids = raw.astype(np.int64)
-    if not np.array_equal(ids, raw):
-        raise ValueError(message)
+def as_int_ids(a, message: str, rows=None, bound=None) -> np.ndarray:
+    """Cast to int64 ids; an int64 array comes back itself, not a copy. A
+    ValueError carrying ``message``, formatted with ``count`` (the number of
+    ids given), ``rows`` and ``bound``, rejects a value the cast would change
+    (a fraction, NaN, a float beyond int64) and, where they are given,
+    anything but one id per query row or an id outside [0, bound)."""
+    raw = ids = np.asarray(a)
+    if raw.dtype != np.int64:
+        with np.errstate(invalid="ignore"):
+            ids = raw.astype(np.int64)
+    changed = ids is not raw and not np.array_equal(ids, raw)
+    # as uint64 a negative id reads as 2**63 or more: one max covers both ends
+    if changed or (rows is not None and ids.shape != (rows,)) or (
+        bound is not None and ids.size and ids.view(np.uint64).max() >= bound
+    ):
+        raise ValueError(message.format(count=ids.size, rows=rows, bound=bound))
     return ids
 
 
@@ -117,7 +125,7 @@ class Rng:
     def normal(self, size=None, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(loc=0.0, scale=scale, size=size)
 
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
+    def choice(self, n: int, size: int, replace: bool) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
 
     def integers(self, low, high, size) -> np.ndarray:

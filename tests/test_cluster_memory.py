@@ -4,13 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import finite_difference, rel_error, unit_rows
+from crossview import kernels
 from crossview.cluster_memory import (
     bank_contrastive_rows,
     batch_loss_cv,
     init_memory,
     momentum_update_batch,
 )
-from crossview.dual_memory import compute_beta, fused_bank_loss, init_dual
+from crossview.dual_memory import (
+    compute_beta,
+    fused_bank_loss,
+    init_dual,
+    update_long_term_batch,
+    update_short_term,
+)
+from crossview.label_refine import smooth_labels
 from crossview.neighborhood import build_instance_memory, neighborhood_total
 from reference import bank_contrastive, config
 
@@ -189,6 +197,37 @@ def test_ids_must_match_query_rows(np_rng, score, count):
     ID_PER_ROW[score](q, bank, dm, np.arange(5) % 3)  # one id per row is accepted
     with pytest.raises(ValueError, match=rf"^{count} .* for 5 query rows$"):
         ID_PER_ROW[score](q, bank, dm, np.full(count, 2))
+
+
+# every layer that takes ids, on the same inputs; the bank updates take the
+# first id as the batch's one cluster, whose five queries are the rows of q
+ID_TAKING = {
+    **ID_PER_ROW,
+    "update_short_term": lambda q, bank, dm, ids: update_short_term(dm, 0.5, ids),
+    "update_long_term_batch": lambda q, bank, dm, ids: update_long_term_batch(dm, q, ids[:1], config()),
+    "momentum_update_batch": lambda q, bank, dm, ids: momentum_update_batch(bank, q, ids[:1], config()),
+    "blend_chain": lambda q, bank, dm, ids: kernels.blend_chain(bank, q, ids[:1], 0.5, 0.5, True),
+    "smooth_labels": lambda q, bank, dm, ids: smooth_labels(q, q, ids, 3, keep=2),
+}
+
+
+@pytest.mark.parametrize("first", [0.5, 5], ids=["fraction", "out of range"])
+@pytest.mark.parametrize("layer", sorted(ID_TAKING))
+def test_ids_must_be_integers_in_range(np_rng, layer, first):
+    # an int64 cast used to read 0.5 as id 0; an id past the three bank rows
+    # (or the five instance-memory rows) must be a ValueError, not an IndexError
+    q = unit_rows(np_rng, 5, 4)
+    bank = init_memory(unit_rows(np_rng, 3, 4))
+    dm = init_dual(bank, config())
+    ids = np.arange(5) % 3
+    bad = ids.astype(np.float64)
+    bad[0] = first
+    arrays = (q, bank, dm.short_term, dm.long_term, dm.fused)
+    before = [a.tobytes() for a in arrays]
+    with pytest.raises(ValueError, match="integer|out of range"):
+        ID_TAKING[layer](q, bank, dm, bad)
+    assert [a.tobytes() for a in arrays] == before
+    ID_TAKING[layer](q, bank, dm, ids)  # the same call with good ids runs
 
 
 class TestDescentProperty:

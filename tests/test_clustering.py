@@ -145,6 +145,12 @@ class TestPseudoLabels:
         with pytest.raises(ValueError, match=rf"1-D, got shape {re.escape(str(raw.shape))}"):
             PseudoLabels(labels=raw, num_clusters=2)
 
+    def test_labels_are_a_copy(self):
+        raw = np.array([0, 1, 1])
+        labels = PseudoLabels(labels=raw, num_clusters=2)
+        raw[0] = 1
+        np.testing.assert_array_equal(labels.labels, [0, 1, 1])
+
     def test_fractional_labels_rejected(self):
         # an int64 cast would truncate them to [0, 1] without a word
         with pytest.raises(ValueError, match="labels must be integer cluster ids"):
@@ -210,6 +216,13 @@ class TestCollapseReplicaLabels:
         for orig in range(8):
             replica_labels = labels.labels[idx == orig]
             assert len(set(replica_labels.tolist())) == 1
+
+    @pytest.mark.parametrize("entry", [-1, 3, 0.5])
+    def test_index_map_entry_outside_the_originals_rejected(self, entry):
+        # -1 used to index from the end, 3 to raise an IndexError, 0.5 to read as 0
+        labels = PseudoLabels(labels=np.zeros(4, dtype=np.int64), num_clusters=1)
+        with pytest.raises(ValueError, match=r"in \[0, 3\)"):
+            collapse_replica_labels(labels, [0, 1, 2, entry], 3)
 
     def test_all_noise_gives_no_clusters(self):
         rep, idx = replicate_features(np.eye(3), 2)

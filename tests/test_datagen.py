@@ -82,6 +82,12 @@ class TestGroundTruthIsolation:
         with pytest.raises(DataError, match="labels do not match instance count: shape"):
             Corpus(np.eye(8), np.eye(8)[:4], drone_loc=drone_loc, sat_loc=[0, 1, 2, 3])
 
+    def test_location_arrays_are_copies(self):
+        drone_loc, sat_loc = np.array([0, 1]), np.array([1, 0])
+        corpus = Corpus(np.eye(2), np.eye(2), drone_loc=drone_loc, sat_loc=sat_loc)
+        drone_loc[0] = sat_loc[0] = 7
+        assert [loc.tolist() for loc in corpus.ground_truth()] == [[0, 1], [1, 0]]
+
     def test_fractional_location_rejected(self):
         # an int64 cast would turn 0.9 into 0 and pair it with satellite 0
         with pytest.raises(DataError, match="drone labels must be integer location ids"):
@@ -120,6 +126,19 @@ class TestFeatureFiles:
         with pytest.raises(DataError, match=f"{message} does not fit int32"):
             save_corpus(corpus, d, s)
         assert not d.exists() and not s.exists()
+
+    @pytest.mark.parametrize("features, labels, error", [
+        (np.eye(2), [1, 2, 3], ValueError),
+        (np.eye(2), [1.5, 1], ValueError),
+        (np.eye(2), [2**32, 1], DataError),
+        (np.eye(2) * 1e300, None, NonFiniteDataError),
+    ], ids=["three labels", "fraction", "2**32", "beyond float32"])
+    def test_view_the_format_cannot_hold_rejected_before_writing(self, tmp_path, features, labels, error):
+        # these used to leave a partial file, or load back as [1, 1], [0, 1] and inf
+        path = tmp_path / "d.dmfv"
+        with pytest.raises(error):
+            save_features(path, "drone", features, labels=labels)
+        assert not path.exists()
 
     def test_handcrafted_bytes(self, tmp_path):
         # 2 instances, dim 3, drone view, with a label block

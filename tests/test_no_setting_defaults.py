@@ -4,8 +4,8 @@ No function in ``src/crossview`` gives a parameter a default value of its
 own, so a trainer setting's default lives only in ``TrainConfig``.
 A default of ``None`` means "not given" and is always allowed. Otherwise
 only the arguments below may carry one: the label that ``as_matrix`` puts
-into its error message, and ``Rng``'s key path and draw arguments. None of
-them is a training setting.
+into its error message, and ``Rng``'s key path and the scale of its normal
+draws. None of them is a training setting.
 
 No other dataclass keeps a copy of a setting under its ``TrainConfig``
 name: a layer takes the config, or the one value it needs as an argument.
@@ -24,7 +24,6 @@ ALLOWED = {
     ("numcore", "as_matrix", "name"),
     ("numcore", "Rng.__init__", "_key"),
     ("numcore", "Rng.normal", "scale"),
-    ("numcore", "Rng.choice", "replace"),
 }
 
 

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from crossview.cluster_memory import bank_contrastive_rows
 from crossview.errors import DegenerateInputError, NumericError
-from crossview.numcore import Rng, l2_normalize_rows, pairwise_sim, top_k_indices
+from crossview.numcore import Rng, as_int_ids, l2_normalize_rows, pairwise_sim, top_k_indices
 from reference import cosine_sim, uniform_stream
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -119,6 +121,52 @@ class TestSoftmax:
         if (v.max() - v.min()) / temp < 700:  # below the exp underflow cliff
             assert np.all(p > 0.0)
         np.testing.assert_allclose(p, q, atol=1e-12)
+
+
+class TestAsIntIds:
+    def test_int64_ids_come_back_uncopied(self):
+        ids = np.arange(4)
+        assert as_int_ids(ids, "ids", 4, 4) is ids
+
+    @pytest.mark.parametrize(
+        "ids", [[0, 1.5], [0, np.nan], [0, 2.0**70], [0, 1, 2], [[0, 1]], [0, 3], [-1, 0]]
+    )
+    def test_rejects_a_changed_value_a_count_and_a_range(self, ids):
+        with pytest.raises(ValueError, match=r"^\d ids: need 2 in \[0, 3\)$"):
+            as_int_ids(ids, "{count} ids: need {rows} in [0, {bound})", 2, 3)
+
+    def test_exact_floats_and_narrow_ints_are_cast(self):
+        for ids in ([2.0, 0.0], np.array([2, 0], dtype=np.int32)):
+            out = as_int_ids(ids, "ids", 2, 3)
+            assert out.dtype == np.int64 and out.tolist() == [2, 0]
+
+
+def hand_written_id_casts(source: str) -> list[str]:
+    """Every ``np.asarray(..., dtype=int64)`` call in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.asarray", "numpy.asarray"):
+            dtypes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "dtype"]
+            if any(ast.unparse(d) in ("np.int64", "numpy.int64", "int", "'int64'") for d in dtypes):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_hand_written_id_casts_are_found():
+    assert hand_written_id_casts("ids = np.asarray(x, dtype=np.int64)\ny = np.asarray(x, int)") == [
+        "np.asarray(x, dtype=np.int64)",
+        "np.asarray(x, int)",
+    ]
+    assert hand_written_id_casts("np.asarray(x, dtype=np.float64)\nas_int_ids(x, 'ids')") == []
+
+
+def test_every_layer_casts_ids_through_as_int_ids():
+    # np.asarray(x, dtype=np.int64) truncates 0.9 to id 0 without a word
+    src = Path(__file__).resolve().parents[1] / "src" / "crossview"
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        found[path.stem] = hand_written_id_casts(path.read_text(encoding="utf-8"))
+    assert {module: casts for module, casts in found.items() if casts} == {}
 
 
 class TestTopK:
